@@ -142,7 +142,7 @@ int Main(int argc, char** argv) {
             latency->Observe(millis);
             slow_log.Record(millis, "anomaly",
                             engine.name + ": " + queries[i].ToString(), root,
-                            result.receipt.ToString());
+                            result.receipt.ToString(result.stats));
           },
           static_cast<int>(queries.size()), qps, options.client_threads,
           options.duration_ms);

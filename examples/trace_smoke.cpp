@@ -174,13 +174,13 @@ int main() {
 
   // The resource receipt of the traced query: the same three lines the
   // client sees after the trace tree in result.ToString().
-  if (traced.receipt.docs_scanned == 0 || traced.receipt.calls == 0) {
+  const std::string receipt = traced.receipt.ToString(traced.stats);
+  if (traced.stats.docs_scanned == 0 || traced.receipt.calls == 0) {
     std::fprintf(stderr, "traced query carries an empty receipt:\n%s",
-                 traced.receipt.ToString().c_str());
+                 receipt.c_str());
     return 1;
   }
-  std::printf("# --- receipt dump ---\n%s",
-              traced.receipt.ToString().c_str());
+  std::printf("# --- receipt dump ---\n%s", receipt.c_str());
 
   auto explained = cluster.Execute("EXPLAIN SELECT count(*) FROM metrics");
   if (!explained.span.has_value() || !explained.explain_only) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full local gate: the tier-1 verify build/test cycle, then a second
-# configure with AddressSanitizer + UBSan (PINOT_SANITIZE=ON) and the same
-# test suite under the sanitizers. Run from the repo root.
+# Full local gate: the tier-1 verify build/test cycle, the dump grammars and
+# perf smoke, then the same test suite under AddressSanitizer + UBSan (with
+# leak detection) and under ThreadSanitizer. Sanitizers are configured from
+# the command line (CMAKE_CXX_FLAGS / CMAKE_EXE_LINKER_FLAGS), each in its
+# own build directory. Run from the repo root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,10 +63,12 @@ scripts/check_perf.sh ${CHECK_PERF_FILTER_BASELINE:+"${CHECK_PERF_FILTER_BASELIN
   build/BENCH_filter_smoke.json
 
 echo
-echo "== sanitizers: ASan+UBSan configure + build + ctest (build-asan/) =="
-cmake -B build-asan -S . -DPINOT_SANITIZE=ON
+echo "== sanitizers: ASan+UBSan+LSan configure + build + ctest (build-asan/) =="
+cmake -B build-asan -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}"
-(cd build-asan && ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
   ctest --output-on-failure -j "${JOBS}")
 
 echo
@@ -75,10 +79,21 @@ echo "== sanitizers: concurrency regression loop (ingest-while-query," \
 # loudly (MutableSegment reader/writer race, TenantQuotaManager UAF, the
 # ~64k-group radix-vs-legacy equivalence sweep with tree-wise merges, and
 # Dump()/snapshot-taking racing registration + observation churn).
-(cd build-asan && ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
   ctest --output-on-failure \
   -R 'mutable_segment_test|token_bucket_test|metrics_test|snapshot_test|health_test|groupby_radix_test|filter_fuzz_test|upsert_fuzz_test' \
   --repeat until-fail:3)
+
+echo
+echo "== sanitizers: ThreadSanitizer configure + build + ctest (build-tsan/) =="
+# Checks the concurrency model itself (scatter workers, consuming-segment
+# reader/writer locks, lock-free metrics) rather than only the memory
+# effects of a bad interleaving.
+cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j "${JOBS}"
+(cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
+  ctest --output-on-failure -j "${JOBS}")
 
 echo
 echo "All checks passed in ${ROOT}."

@@ -227,8 +227,9 @@ int64_t SteadyMicros(std::chrono::steady_clock::time_point tp) {
 void Broker::QueryPhysicalTable(const std::string& physical_table,
                                 const Query& query,
                                 std::chrono::steady_clock::time_point deadline,
-                                PartialResult* merged, QueryTrace* trace,
+                                PartialResult* merged,
                                 TraceSpan* scatter_span) {
+  QueryReceipt& receipt = merged->receipt;
   std::shared_ptr<TableRouting> routing = GetRouting(physical_table);
   if (routing->segment_servers.empty()) {
     return;  // Table has no queryable segments (not an error).
@@ -343,11 +344,14 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
     std::string server;
     std::vector<std::string> segments;
     PartialResult result;
-    std::future<void> done;
+    // Stored (release) by the worker once `result` is written. The call
+    // holds no future: the pool task owns the call, so a future here would
+    // close an ownership cycle and no call would ever be freed.
+    std::atomic<bool> done{false};
     std::chrono::steady_clock::time_point started;
     bool hedge = false;
     std::string hedge_of;   // Primary server this call hedges, if any.
-    bool finished = false;  // Future observed ready by the gather loop.
+    bool finished = false;  // `done` observed by the gather loop.
     bool failed = false;    // Finished with a retryable failure.
   };
 
@@ -386,16 +390,17 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
     call->started = std::chrono::steady_clock::now();
     // The worker reports the true service time into the stats registry even
     // when the broker abandons the call first — exactly the signal adaptive
-    // selection needs to steer traffic away from the slow server.
+    // selection needs to steer traffic away from the slow server. The task
+    // keeps an abandoned call alive until its worker finishes.
     ServerStatsRegistry* stats = &server_stats_;
     stats->OnCallStart(call->server);
-    call->done =
-        pool_.Submit([call, endpoint, stats, request = std::move(request)] {
-          const auto run_start = std::chrono::steady_clock::now();
-          call->result = endpoint->ExecuteServerQuery(request);
-          stats->OnCallFinish(call->server, MillisSince(run_start),
-                              call->result.status.ok());
-        });
+    pool_.Submit([call, endpoint, stats, request = std::move(request)] {
+      const auto run_start = std::chrono::steady_clock::now();
+      call->result = endpoint->ExecuteServerQuery(request);
+      stats->OnCallFinish(call->server, MillisSince(run_start),
+                          call->result.status.ok());
+      call->done.store(true, std::memory_order_release);
+    });
     return call;
   };
 
@@ -423,57 +428,68 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       return reasons_for(call.segments);
     };
 
-    // One child span + trace event per scatter call ("call:<server>" for
-    // primaries, "hedge:<server>" for hedges), opened at submit time and
-    // closed at resolution: wave + outcome, the per-segment replica-pick
-    // reason (collapsed to one whole-call label when uniform), and
-    // server-side spans (TRACE/EXPLAIN) nested under it.
+    // One child span per scatter call ("call:<server>" for primaries,
+    // "hedge:<server>" for hedges), opened at submit time, closed at
+    // resolution and counted on the receipt: wave + outcome, the
+    // per-segment replica-pick reason (collapsed to one whole-call label
+    // when uniform), `hedge=won|lost` on hedges, the segments of any call
+    // that did not answer ok, and server-side spans (TRACE/EXPLAIN) nested
+    // under it.
     auto emit = [&](const std::string& server,
                     const std::vector<std::string>& segments,
                     const std::vector<std::string>& reasons,
-                    int64_t start_micros, double latency_millis,
-                    std::string outcome, bool hedge, bool hedge_won,
-                    std::vector<TraceSpan>* children) {
-      if (scatter_span != nullptr) {
-        TraceSpan call_span = TraceSpan::OpenAt(
-            (hedge ? "hedge:" : "call:") + server, start_micros);
-        call_span.duration_micros =
-            static_cast<int64_t>(latency_millis * 1000.0);
-        call_span.Label("outcome", outcome);
-        bool uniform = true;
-        for (const auto& reason : reasons) {
-          if (reason != reasons.front()) {
-            uniform = false;
-            break;
-          }
+                    int64_t start_micros, const std::string& outcome,
+                    const char* hedge, std::vector<TraceSpan>* children) {
+      ++receipt.calls;
+      TraceSpan call_span = TraceSpan::OpenAt(
+          (hedge != nullptr ? "hedge:" : "call:") + server, start_micros);
+      call_span.Label("outcome", outcome);
+      bool uniform = true;
+      for (const auto& reason : reasons) {
+        if (reason != reasons.front()) {
+          uniform = false;
+          break;
         }
-        if (uniform && !reasons.empty()) {
-          call_span.Label("pick", reasons.front());
-        } else {
-          for (size_t i = 0; i < segments.size(); ++i) {
-            call_span.Label("pick:" + segments[i], reasons[i]);
-          }
-        }
-        if (hedge) call_span.Label("hedge", hedge_won ? "won" : "lost");
-        call_span.Annotate("wave", attempt);
-        call_span.Annotate("segments", static_cast<int64_t>(segments.size()));
-        if (children != nullptr) {
-          for (auto& child : *children) call_span.AddChild(std::move(child));
-          children->clear();
-        }
-        scatter_span->AddChild(std::move(call_span));
       }
-      ScatterTraceEvent event;
-      event.physical_table = physical_table;
-      event.server = server;
-      event.segments = segments;
-      event.pick_reasons = reasons;
-      event.attempt = attempt;
-      event.latency_millis = latency_millis;
-      event.outcome = std::move(outcome);
-      event.hedge = hedge;
-      event.hedge_won = hedge_won;
-      trace->events.push_back(std::move(event));
+      if (uniform && !reasons.empty()) {
+        call_span.Label("pick", reasons.front());
+      } else {
+        for (size_t i = 0; i < segments.size(); ++i) {
+          call_span.Label("pick:" + segments[i], reasons[i]);
+        }
+      }
+      if (outcome != "ok") {
+        std::string covered;
+        for (const auto& segment : segments) {
+          if (!covered.empty()) covered += ',';
+          covered += segment;
+        }
+        call_span.Label("covered", std::move(covered));
+      }
+      if (hedge != nullptr) call_span.Label("hedge", hedge);
+      call_span.Annotate("wave", attempt);
+      call_span.Annotate("segments", static_cast<int64_t>(segments.size()));
+      if (children != nullptr) {
+        for (auto& child : *children) call_span.AddChild(std::move(child));
+        children->clear();
+      }
+      call_span.Close();
+      scatter_span->AddChild(std::move(call_span));
+    };
+    // The span of a submitted call; `merged_data` marks the side of a race
+    // whose response is merged (its server spans nest under the call, and
+    // a hedge that is merged won).
+    auto emit_call = [&](ScatterCall& call, const std::string& outcome,
+                         bool merged_data) {
+      const char* hedge =
+          call.hedge ? (merged_data ? "won" : "lost") : nullptr;
+      emit(call.server, call.segments, reasons_of(call),
+           SteadyMicros(call.started), outcome, hedge,
+           merged_data ? &call.result.spans : nullptr);
+    };
+    auto answered_outcome = [](const ScatterCall& call) {
+      const Status& st = call.result.status;
+      return st.ok() ? std::string("ok") : "error: " + st.ToString();
     };
 
     // Marks a call's unanswered segments for failover in the next wave.
@@ -488,27 +504,21 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       }
     };
 
-    // Resolves a race: merges exactly one side, emits a trace event per
-    // call, and routes unanswered segments into the failover set.
+    // Resolves a race: merges exactly one side, emits a span per call, and
+    // routes unanswered segments into the failover set.
     auto resolve_group = [&](CallGroup& group) {
       group.resolved = true;
       ScatterCall& primary = *group.primary;
       // Primary finished first with data (ok, or a non-retryable error that
       // still carries per-segment results): merge it, the hedges lose.
       if (primary.finished && !primary.failed) {
-        const double latency = MillisSince(primary.started);
-        const Status& st = primary.result.status;
-        emit(primary.server, primary.segments, reasons_of(primary),
-             SteadyMicros(primary.started), latency,
-             st.ok() ? "ok" : "error: " + st.ToString(), false, false,
-             &primary.result.spans);
+        emit_call(primary, answered_outcome(primary), true);
         merged->Merge(std::move(primary.result));
         for (auto& hedge : group.hedges) {
-          emit(hedge->server, hedge->segments, reasons_of(*hedge),
-               SteadyMicros(hedge->started), MillisSince(hedge->started),
-               hedge->finished ? "discarded (hedge lost)"
-                               : "abandoned (hedge lost)",
-               true, false, nullptr);
+          emit_call(*hedge,
+                    hedge->finished ? "discarded (hedge lost)"
+                                    : "abandoned (hedge lost)",
+                    false);
         }
         return;
       }
@@ -519,60 +529,43 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       std::set<std::string> answered;
       for (auto& hedge : group.hedges) {
         if (!hedge->finished || hedge->failed) continue;
-        ++trace->hedge_wins;
-        const double latency = MillisSince(hedge->started);
-        const Status& st = hedge->result.status;
-        emit(hedge->server, hedge->segments, reasons_of(*hedge),
-             SteadyMicros(hedge->started), latency,
-             st.ok() ? "ok" : "error: " + st.ToString(), true, true,
-             &hedge->result.spans);
-        for (const auto& segment : hedge->segments) answered.insert(segment);
+        ++receipt.hedge_wins;
+        emit_call(*hedge, answered_outcome(*hedge), true);
+        answered.insert(hedge->segments.begin(), hedge->segments.end());
         merged->Merge(std::move(hedge->result));
       }
 
-      // Primary loses: still running (abandoned; the worker lambda keeps
-      // the call alive via shared ownership and its late result is never
-      // merged) or finished with a retryable failure.
+      // Primary loses: still running (abandoned; the pool task keeps the
+      // call alive and its late result is never merged) or finished with a
+      // retryable failure.
       if (!primary.finished) {
         if (answered.empty()) {
-          ++trace->timeouts;
+          ++receipt.timeouts;
           server_stats_.PenalizeFailure(primary.server);
-          emit(primary.server, primary.segments, reasons_of(primary),
-               SteadyMicros(primary.started), MillisSince(primary.started),
-               "timeout", false, false, nullptr);
+          emit_call(primary, "timeout", false);
         } else {
-          emit(primary.server, primary.segments, reasons_of(primary),
-               SteadyMicros(primary.started), MillisSince(primary.started),
-               "abandoned (hedge won)", false, false, nullptr);
+          emit_call(primary, "abandoned (hedge won)", false);
         }
         fail_segments(primary, "timeout", &answered);
       } else {
         const std::string outcome =
             "failed: " + primary.result.status.ToString();
-        emit(primary.server, primary.segments, reasons_of(primary),
-             SteadyMicros(primary.started), MillisSince(primary.started),
-             outcome, false, false, nullptr);
+        emit_call(primary, outcome, false);
         fail_segments(primary, outcome, &answered);
       }
 
       // Losing hedges (failed, or still running at the wave deadline).
       for (auto& hedge : group.hedges) {
         if (hedge->finished && !hedge->failed) continue;  // Merged above.
-        if (!hedge->finished) {
-          ++trace->timeouts;
-          server_stats_.PenalizeFailure(hedge->server);
-          emit(hedge->server, hedge->segments, reasons_of(*hedge),
-               SteadyMicros(hedge->started), MillisSince(hedge->started),
-               "timeout", true, false, nullptr);
-          fail_segments(*hedge, "timeout", &answered);
+        std::string outcome = "timeout";
+        if (hedge->finished) {
+          outcome = "failed: " + hedge->result.status.ToString();
         } else {
-          const std::string outcome =
-              "failed: " + hedge->result.status.ToString();
-          emit(hedge->server, hedge->segments, reasons_of(*hedge),
-               SteadyMicros(hedge->started), MillisSince(hedge->started),
-               outcome, true, false, nullptr);
-          fail_segments(*hedge, outcome, &answered);
+          ++receipt.timeouts;
+          server_stats_.PenalizeFailure(hedge->server);
         }
+        emit_call(*hedge, outcome, false);
+        fail_segments(*hedge, outcome, &answered);
       }
     };
 
@@ -581,9 +574,9 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
     // that is presumably struggling. Surface the segments as timeouts.
     if (std::chrono::steady_clock::now() >= deadline) {
       for (const auto& [server, segments] : assignment) {
-        ++trace->timeouts;
+        ++receipt.timeouts;
         emit(server, segments, reasons_for(segments), TraceSpan::NowMicros(),
-             0, "timeout (deadline exhausted)", false, false, nullptr);
+             "timeout (deadline exhausted)", nullptr, nullptr);
         dead_segments.insert(dead_segments.end(), segments.begin(),
                              segments.end());
       }
@@ -600,7 +593,7 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       if (call == nullptr) {
         server_stats_.PenalizeFailure(server);
         emit(server, segments, reasons_for(segments), TraceSpan::NowMicros(),
-             0, "unreachable", false, false, nullptr);
+             "unreachable", nullptr, nullptr);
         for (const auto& segment : segments) {
           tried_servers[segment].insert(server);
           failed_segments.insert(segment);
@@ -632,9 +625,7 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       for (auto& group : groups) {
         if (group.resolved) continue;
         auto observe = [&](ScatterCall& call) {
-          if (call.finished) return;
-          if (call.done.wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready) {
+          if (call.finished || !call.done.load(std::memory_order_acquire)) {
             return;
           }
           call.finished = true;
@@ -721,7 +712,7 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
               }
               hedge->hedge_of = primary.server;
               ++hedges_fired;
-              ++trace->hedges;
+              ++receipt.hedges;
               group.hedges.push_back(std::move(hedge));
               progressed = true;
             }
@@ -794,7 +785,7 @@ void Broker::QueryPhysicalTable(const std::string& physical_table,
       if (replica.empty()) {
         dead_segments.push_back(segment);
       } else {
-        ++trace->retries;
+        ++receipt.retries;
         pick_reason[segment] = "failover(" + last_outcome[segment] +
                                ", candidates=" +
                                std::to_string(candidates) + ")";
@@ -894,7 +885,6 @@ QueryResult Broker::ExecuteQuery(const Query& query) {
   const auto deadline =
       start + std::chrono::milliseconds(options_.default_timeout_millis);
   PartialResult merged;
-  QueryTrace trace;
 
   // Broker-level spans are built for every query, traced or not: route /
   // scatter / reduce are a handful of spans per request, and the slow-query
@@ -990,8 +980,7 @@ QueryResult Broker::ExecuteQuery(const Query& query) {
   const MetricLabels table_labels = {{"table", query.table}};
   for (const auto& [physical, subquery] : plans) {
     TraceSpan scatter_span = TraceSpan::Open("scatter:" + physical);
-    QueryPhysicalTable(physical, subquery, deadline, &merged, &trace,
-                       &scatter_span);
+    QueryPhysicalTable(physical, subquery, deadline, &merged, &scatter_span);
     scatter_span.Close();
     metrics_->GetHistogram("broker_scatter_time_ms", table_labels)
         ->Observe(scatter_span.duration_millis());
@@ -1009,6 +998,7 @@ QueryResult Broker::ExecuteQuery(const Query& query) {
     // stats and the span tree without reducing (there are no rows).
     result.explain_only = true;
     result.stats = merged.stats;
+    result.receipt = merged.receipt;
     result.total_docs = merged.total_docs;
     if (!merged.status.ok()) {
       result.partial = true;
@@ -1024,11 +1014,6 @@ QueryResult Broker::ExecuteQuery(const Query& query) {
         static_cast<int64_t>(reduce_span.duration_millis() * 1000.0);
     root.AddChild(std::move(reduce_span));
   }
-  result.receipt.calls = static_cast<uint32_t>(trace.events.size());
-  result.receipt.retries = trace.retries;
-  result.receipt.timeouts = trace.timeouts;
-  result.receipt.hedges = trace.hedges;
-  result.receipt.hedge_wins = trace.hedge_wins;
   const auto end = std::chrono::steady_clock::now();
   result.latency_millis =
       std::chrono::duration_cast<std::chrono::microseconds>(end - start)
@@ -1046,52 +1031,43 @@ QueryResult Broker::ExecuteQuery(const Query& query) {
     metrics_->GetCounter("broker_partial_results_total", table_labels)
         ->Increment();
   }
-  if (trace.retries > 0) {
-    metrics_->GetCounter("broker_scatter_retries_total")
-        ->Increment(trace.retries);
-    metrics_->GetCounter("broker_scatter_retries_total", table_labels)
-        ->Increment(trace.retries);
+  const QueryReceipt& receipt = result.receipt;
+  for (const auto& [family, count] : {
+           std::pair<const char*, uint32_t>{"broker_scatter_retries_total",
+                                            receipt.retries},
+           {"broker_scatter_timeouts_total", receipt.timeouts},
+           {"broker_hedged_calls_total", receipt.hedges},
+           {"broker_hedge_wins_total", receipt.hedge_wins}}) {
+    if (count == 0) continue;
+    metrics_->GetCounter(family)->Increment(count);
+    metrics_->GetCounter(family, table_labels)->Increment(count);
   }
-  if (trace.timeouts > 0) {
-    metrics_->GetCounter("broker_scatter_timeouts_total")
-        ->Increment(trace.timeouts);
-    metrics_->GetCounter("broker_scatter_timeouts_total", table_labels)
-        ->Increment(trace.timeouts);
-  }
-  if (trace.hedges > 0) {
-    metrics_->GetCounter("broker_hedged_calls_total")
-        ->Increment(trace.hedges);
-    metrics_->GetCounter("broker_hedged_calls_total", table_labels)
-        ->Increment(trace.hedges);
-  }
-  if (trace.hedge_wins > 0) {
-    metrics_->GetCounter("broker_hedge_wins_total")
-        ->Increment(trace.hedge_wins);
-    metrics_->GetCounter("broker_hedge_wins_total", table_labels)
-        ->Increment(trace.hedge_wins);
-  }
-  if (result.receipt.docs_scanned > 0) {
+  if (result.stats.docs_scanned > 0) {
     metrics_->GetCounter("broker_docs_scanned_total", table_labels)
-        ->Increment(static_cast<int64_t>(result.receipt.docs_scanned));
+        ->Increment(result.stats.docs_scanned);
   }
-  if (result.receipt.payload_bytes > 0) {
+  if (receipt.payload_bytes > 0) {
     metrics_->GetCounter("broker_scatter_payload_bytes_total", table_labels)
-        ->Increment(static_cast<int64_t>(result.receipt.payload_bytes));
+        ->Increment(receipt.payload_bytes);
   }
   metrics_->GetHistogram("broker_query_latency_ms", table_labels)
       ->Observe(result.latency_millis);
 
   if (!query.explain) {
-    const bool slow = slow_query_log_.Record(result.latency_millis,
-                                             query.table, query.ToString(),
-                                             root, result.receipt.ToString());
+    const bool slow = slow_query_log_.Record(
+        result.latency_millis, query.table, query.ToString(), root,
+        receipt.ToString(result.stats));
     if (slow) {
       metrics_->GetCounter("broker_slow_queries_total", table_labels)
           ->Increment();
     }
   }
-  if (query.trace || query.explain) result.span = std::move(root);
-  result.trace = std::move(trace);
+  // A partial result keeps the broker span tree even without TRACE: its
+  // call spans name the server that failed, how, and the segments it
+  // covered.
+  if (query.trace || query.explain || result.partial) {
+    result.span = std::move(root);
+  }
   return result;
 }
 

@@ -29,8 +29,8 @@ namespace pinot {
 /// merges partial results. Calls that fail or time out are retried on
 /// other live replicas of the affected segments within the query's
 /// deadline budget; only when no replica answers is the response flagged
-/// partial, with an execution trace saying which servers and segments
-/// failed. Routing tables are rebuilt whenever the external view changes
+/// partial, with call spans saying which servers and segments failed.
+/// Routing tables are rebuilt whenever the external view changes
 /// (section 3.3.2).
 class Broker {
  public:
@@ -136,14 +136,14 @@ class Broker {
 
   /// Runs one physical table's scatter/gather and merges into `merged`.
   /// Failed or timed-out calls are retried on other live replicas within
-  /// `deadline`; every call is recorded in `trace` and as a `call:<server>`
-  /// child of `scatter_span` (wave number, outcome, per-segment replica-
-  /// pick reason; server-side spans nest under their call).
+  /// `deadline`; every call is counted on `merged->receipt` and recorded
+  /// as a `call:<server>` child of `scatter_span` (wave number, outcome,
+  /// per-segment replica-pick reason, the segments of a call that did not
+  /// answer; server-side spans nest under their call).
   void QueryPhysicalTable(const std::string& physical_table,
                           const Query& query,
                           std::chrono::steady_clock::time_point deadline,
-                          PartialResult* merged, QueryTrace* trace,
-                          TraceSpan* scatter_span);
+                          PartialResult* merged, TraceSpan* scatter_span);
 
   /// Builds the per-query routing for a partition-aware table.
   RoutingTable BuildPartitionAwareTable(const TableRouting& routing,

@@ -180,10 +180,7 @@ void QueryReceipt::Merge(const QueryReceipt& other) {
   route_micros += other.route_micros;
   scatter_micros += other.scatter_micros;
   reduce_micros += other.reduce_micros;
-  docs_scanned += other.docs_scanned;
   docs_pruned += other.docs_pruned;
-  segments_queried += other.segments_queried;
-  segments_pruned += other.segments_pruned;
   scan_bytes += other.scan_bytes;
   payload_bytes += other.payload_bytes;
   groups += other.groups;
@@ -195,7 +192,7 @@ void QueryReceipt::Merge(const QueryReceipt& other) {
   hedge_wins += other.hedge_wins;
 }
 
-std::string QueryReceipt::ToString() const {
+std::string QueryReceipt::ToString(const ExecutionStats& stats) const {
   auto ms = [](int64_t micros) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", micros / 1000.0);
@@ -207,10 +204,10 @@ std::string QueryReceipt::ToString() const {
          ms(scan_micros) + "ms agg=" + ms(agg_micros) + "ms route=" +
          ms(route_micros) + "ms scatter=" + ms(scatter_micros) +
          "ms reduce=" + ms(reduce_micros) + "ms\n";
-  out += "receipt: work docs_scanned=" + std::to_string(docs_scanned) +
+  out += "receipt: work docs_scanned=" + std::to_string(stats.docs_scanned) +
          " docs_pruned=" + std::to_string(docs_pruned) +
-         " segments_queried=" + std::to_string(segments_queried) +
-         " segments_pruned=" + std::to_string(segments_pruned) +
+         " segments_queried=" + std::to_string(stats.segments_queried) +
+         " segments_pruned=" + std::to_string(stats.segments_pruned) +
          " scan_bytes=" + std::to_string(scan_bytes) + " payload_bytes=" +
          std::to_string(payload_bytes) + " groups=" + std::to_string(groups) +
          " trimmed=" + std::to_string(trimmed) + "\n";
@@ -290,11 +287,6 @@ QueryResult ReduceToFinalResult(const Query& query, PartialResult&& partial) {
   QueryResult result;
   result.stats = partial.stats;
   result.receipt = partial.receipt;
-  // The doc/segment tallies live canonically in stats; mirror them into the
-  // receipt here so one struct carries the whole account.
-  result.receipt.docs_scanned = partial.stats.docs_scanned;
-  result.receipt.segments_queried = partial.stats.segments_queried;
-  result.receipt.segments_pruned = partial.stats.segments_pruned;
   result.total_docs = partial.total_docs;
   if (!partial.status.ok()) {
     result.partial = true;
@@ -396,28 +388,6 @@ QueryResult ReduceToFinalResult(const Query& query, PartialResult&& partial) {
   return result;
 }
 
-std::string QueryTrace::ToString() const {
-  std::ostringstream os;
-  os << "trace: " << events.size() << " scatter calls, " << retries
-     << " retries, " << timeouts << " timeouts, " << hedges << " hedges ("
-     << hedge_wins << " won)\n";
-  for (const auto& event : events) {
-    os << "  [" << event.attempt << "] " << event.physical_table << " -> "
-       << event.server;
-    if (event.hedge) os << (event.hedge_won ? " [hedge, won]" : " [hedge]");
-    os << " (" << event.segments.size() << " segments:";
-    for (size_t i = 0; i < event.segments.size(); ++i) {
-      os << " " << event.segments[i];
-      if (i < event.pick_reasons.size() &&
-          event.pick_reasons[i] != "routing-table") {
-        os << "<" << event.pick_reasons[i] << ">";
-      }
-    }
-    os << ") " << event.outcome << " " << event.latency_millis << "ms\n";
-  }
-  return os.str();
-}
-
 std::string QueryResult::ToString() const {
   std::ostringstream os;
   if (throttled) {
@@ -463,7 +433,7 @@ std::string QueryResult::ToString() const {
     os << "\n--- " << (explain_only ? "plan" : "trace") << " ---\n"
        << span->ToString();
     if (!explain_only) {
-      os << "--- receipt ---\n" << receipt.ToString();
+      os << "--- receipt ---\n" << receipt.ToString(stats);
     }
   }
   return os.str();

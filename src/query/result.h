@@ -159,7 +159,8 @@ class GroupTable {
 /// are summed across parallel workers and scatter calls, so they are CPU
 /// time and can exceed the query's wall latency; queue_micros sums tenant
 /// admission waits across servers; route/scatter/reduce are broker wall
-/// phases.
+/// phases. Doc and segment tallies live in ExecutionStats only; the
+/// receipt holds what the stats do not.
 struct QueryReceipt {
   // Phase times (micros).
   int64_t queue_micros = 0;    // Tenant-admission queue wait, all servers.
@@ -172,27 +173,27 @@ struct QueryReceipt {
   int64_t reduce_micros = 0;   // Broker merge/finalize.
 
   // Work done.
-  uint64_t docs_scanned = 0;
   uint64_t docs_pruned = 0;    // Docs inside segments skipped by pruning.
-  uint64_t segments_queried = 0;
-  uint64_t segments_pruned = 0;
   uint64_t scan_bytes = 0;     // Estimated column bytes decoded.
   uint64_t payload_bytes = 0;  // Partial-result bytes shipped to the broker.
   uint64_t groups = 0;         // Pre-trim group count, summed over servers.
   uint64_t trimmed = 0;        // Groups dropped by server-side trimming.
 
-  // Scatter behaviour (broker-side).
-  uint32_t calls = 0;          // Scatter calls issued (incl. retries/hedges).
-  uint32_t retries = 0;
-  uint32_t timeouts = 0;
-  uint32_t hedges = 0;
-  uint32_t hedge_wins = 0;
+  // Scatter behaviour (broker-side). `calls` and `timeouts` count call
+  // spans; `retries` counts segments, not calls; every hedge fired gets
+  // exactly one `hedge:` span.
+  uint32_t calls = 0;          // Call spans (incl. retries/hedges).
+  uint32_t retries = 0;        // Segments re-scattered in a later wave.
+  uint32_t timeouts = 0;       // Call spans whose outcome is a timeout.
+  uint32_t hedges = 0;         // Speculative hedge calls fired.
+  uint32_t hedge_wins = 0;     // Hedge calls whose response was merged.
 
   void Merge(const QueryReceipt& other);
 
   /// Three `receipt: <section> k=v ...` lines (phases / work / scatter);
-  /// grammar-checked by scripts/check_dumps.sh.
-  std::string ToString() const;
+  /// the work line reads the doc/segment tallies from `stats`.
+  /// Grammar-checked by scripts/check_dumps.sh.
+  std::string ToString(const ExecutionStats& stats) const;
 };
 
 /// Unfinalized result of executing a query over one or more segments.
@@ -212,10 +213,8 @@ struct PartialResult {
   ExecutionStats stats;
   int64_t total_docs = 0;  // Total documents in the queried segments.
 
-  // Resource accounting for this partial; merged alongside stats. The
-  // doc/segment tallies duplicated in `stats` are filled in from it by the
-  // broker at finalize time — executors only maintain the receipt-specific
-  // fields (phase times, docs_pruned, bytes, group counts).
+  // Resource accounting for this partial (phase times, docs_pruned, bytes,
+  // group counts, scatter calls); merged alongside stats.
   QueryReceipt receipt;
 
   // Execution errors; a non-OK status marks the merged result partial.
@@ -246,45 +245,6 @@ void AppendGroupKeyValue(const Value& v, std::string* out);
 /// (exactly what AppendGroupKeyValue would produce for a value whose
 /// ValueToString equals `rendered`).
 void AppendRenderedGroupKeyValue(std::string_view rendered, std::string* out);
-
-/// One scatter call from the broker to one server, as observed by the
-/// broker: which segments it covered, which retry wave it belonged to, how
-/// long it took, and how it ended. Partial results carry these so clients
-/// can see *why* data is missing (paper section 3.3.3 step 7).
-struct ScatterTraceEvent {
-  std::string physical_table;
-  std::string server;
-  std::vector<std::string> segments;
-  int attempt = 0;            // 0 = first scatter wave, >0 = retry waves.
-  double latency_millis = 0;  // Submit-to-gather time (0 if never sent).
-  // "ok", "unreachable", "timeout", "failed: <status>", "error: <status>",
-  // "discarded (hedge lost)", "abandoned (hedge won)".
-  std::string outcome;
-  // True for speculative hedge calls fired while the primary call was still
-  // outstanding past the latency budget.
-  bool hedge = false;
-  // True on the call whose response was merged when it beat the other side
-  // of a hedge race (set on the hedge when it wins, never on primaries).
-  bool hedge_won = false;
-  // Why each segment landed on this server, parallel to `segments`:
-  // "routing-table" on the first wave; on retry waves,
-  // "failover(<prior outcome>, candidates=<n>)" where n counts the live
-  // untried replicas the picker chose among.
-  std::vector<std::string> pick_reasons;
-};
-
-/// Per-query execution trace accumulated broker-side across all physical
-/// tables and scatter attempts.
-struct QueryTrace {
-  std::vector<ScatterTraceEvent> events;
-  int retries = 0;    // Segments re-scattered to another replica.
-  int timeouts = 0;   // Calls abandoned at an attempt deadline.
-  int hedges = 0;     // Speculative hedge calls fired.
-  int hedge_wins = 0; // Hedge calls whose response was the one merged.
-
-  /// Human-readable rendering, one line per scatter event.
-  std::string ToString() const;
-};
 
 /// Final client-facing query response (paper section 3.3.3 step 8; errors
 /// or timeouts mark the result as partial instead of failing it).
@@ -317,12 +277,13 @@ struct QueryResult {
 
   ExecutionStats stats;
   // Resource receipt for the whole query (server phases merged across the
-  // scatter + broker phases). Rendered after the trace for TRACE queries
-  // and attached to slow-query-log entries.
+  // scatter + broker phases). Rendered after the trace and attached to
+  // slow-query-log entries.
   QueryReceipt receipt;
-  QueryTrace trace;
   // Full hierarchical execution trace (root = broker span). Populated for
-  // TRACE/EXPLAIN queries; ToString() renders it after the result rows.
+  // TRACE/EXPLAIN queries and for partial results, whose call spans say
+  // which server failed, how, and which segments it covered; ToString()
+  // renders it after the result rows.
   std::optional<TraceSpan> span;
   // True for EXPLAIN results: planning ran but no data was read.
   bool explain_only = false;

@@ -166,14 +166,16 @@ TEST(BrokerRoutingTest, RoutingAdaptsToServerFailure) {
   // surviving replicas and results stay complete.
   cluster.KillServer(1);
   for (int i = 0; i < 10; ++i) {
-    auto result = cluster.Execute("SELECT count(*) FROM keyed");
+    auto result = cluster.Execute("TRACE SELECT count(*) FROM keyed");
     ASSERT_FALSE(result.partial) << result.error_message;
     ASSERT_EQ(std::get<int64_t>(result.aggregates[0]), 3);
     // The external-view watch already removed the dead server, so the
     // queries route cleanly without needing the in-flight failover path.
-    EXPECT_EQ(result.trace.retries, 0) << result.trace.ToString();
-    for (const auto& event : result.trace.events) {
-      EXPECT_NE(event.server, "server-1");
+    EXPECT_EQ(result.receipt.retries, 0u) << result.ToString();
+    const std::vector<const TraceSpan*> calls = test::CallSpans(result);
+    EXPECT_FALSE(calls.empty());
+    for (const TraceSpan* call : calls) {
+      EXPECT_NE(test::CallServer(*call), "server-1");
     }
   }
 }

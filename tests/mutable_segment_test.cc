@@ -159,8 +159,8 @@ TEST(MutableSegmentTest, TimeColumnKeepsInt64Precision) {
 TEST(MutableSegmentTest, ConcurrentIngestAndQuery) {
   // Single writer indexing while readers execute queries under the
   // segment's shared lock (exactly what Server::ExecuteServerQuery does).
-  // Pre-fix this raced MutableColumn::Append's vector reallocation; run
-  // under PINOT_SANITIZE to make corruption loud.
+  // Pre-fix this raced MutableColumn::Append's vector reallocation; the
+  // sanitizer stages of scripts/check.sh make corruption loud.
   SimulatedClock clock;
   MutableSegment segment(AnalyticsSchema(), "t", "s", &clock);
   constexpr int kRows = 8000;

@@ -106,6 +106,34 @@ inline QueryResult RunPql(std::shared_ptr<ImmutableSegment> segment,
       pql);
 }
 
+/// The broker's call spans ("call:<server>" / "hedge:<server>"), one per
+/// scatter call, across every scatter of the result's span tree; empty
+/// when the result carries no span.
+inline std::vector<const TraceSpan*> CallSpans(const QueryResult& result) {
+  std::vector<const TraceSpan*> calls;
+  if (!result.span.has_value()) return calls;
+  for (const TraceSpan& scatter : result.span->children) {
+    if (scatter.name.rfind("scatter:", 0) != 0) continue;
+    for (const TraceSpan& call : scatter.children) calls.push_back(&call);
+  }
+  return calls;
+}
+
+/// The server a call span went to.
+inline std::string CallServer(const TraceSpan& call) {
+  return call.name.substr(call.name.find(':') + 1);
+}
+
+/// Replica-pick reasons of a call span: its whole-call `pick` label, or one
+/// `pick:<segment>` label per segment.
+inline std::vector<std::string> PickReasons(const TraceSpan& call) {
+  std::vector<std::string> reasons;
+  for (const auto& [key, value] : call.labels) {
+    if (key == "pick" || key.rfind("pick:", 0) == 0) reasons.push_back(value);
+  }
+  return reasons;
+}
+
 }  // namespace test
 }  // namespace pinot
 

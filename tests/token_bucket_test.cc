@@ -112,7 +112,8 @@ TEST(TenantQuotaManagerTest, ReconfigureDuringAdmitTakesEffect) {
 TEST(TenantQuotaManagerTest, ConcurrentAdmitAndReconfigureIsSafe) {
   // Hammer AdmitQuery/RecordExecution from several threads while the main
   // thread reconfigures the same tenant. Pre-fix this dereferenced freed
-  // buckets; run under PINOT_SANITIZE to make the regression loud.
+  // buckets; the sanitizer stages of scripts/check.sh make the regression
+  // loud.
   SimulatedClock clock;
   TenantQuotaManager manager(&clock);
   manager.ConfigureTenant("t", {.burst_tokens = 5, .refill_per_second = 0});

@@ -469,7 +469,8 @@ int64_t SumAnnotation(const TraceSpan& span, const std::string& prefix,
 }
 
 // Tentpole: a TRACE'd query renders a resource receipt whose totals agree
-// with the execution stats and with the per-segment span annotations.
+// with the execution stats, the call spans and the per-segment span
+// annotations.
 TEST_F(TraceClusterTest, TracedQueryRendersConsistentReceipt) {
   PinotCluster cluster(PinotClusterOptions{});
   SetUpHybrid(&cluster);
@@ -480,20 +481,22 @@ TEST_F(TraceClusterTest, TracedQueryRendersConsistentReceipt) {
   ASSERT_TRUE(result.span.has_value());
 
   const QueryReceipt& receipt = result.receipt;
-  // Receipt doc/segment tallies mirror the canonical execution stats.
-  EXPECT_EQ(receipt.docs_scanned, result.stats.docs_scanned);
-  EXPECT_EQ(receipt.segments_queried, result.stats.segments_queried);
-  EXPECT_EQ(receipt.segments_pruned, result.stats.segments_pruned);
-  // ...and both agree with the per-segment span annotations.
+  // The doc tallies of the stats agree with the per-segment span
+  // annotations.
   EXPECT_EQ(SumAnnotation(*result.span, "segment:", "docs_scanned"),
-            static_cast<int64_t>(receipt.docs_scanned));
-  // One scatter call per physical table of the hybrid plan.
-  EXPECT_EQ(receipt.calls, result.trace.events.size());
+            static_cast<int64_t>(result.stats.docs_scanned));
+  // One scatter call per physical table of the hybrid plan, each a call
+  // span; no retry waves and no hedge spans.
+  EXPECT_EQ(receipt.calls, test::CallSpans(result).size());
   EXPECT_EQ(receipt.calls, 2u);
-  EXPECT_EQ(receipt.retries, result.trace.retries);
-  EXPECT_EQ(receipt.hedges, result.trace.hedges);
+  EXPECT_EQ(receipt.retries, 0u);
+  EXPECT_EQ(receipt.hedges, 0u);
+  for (const TraceSpan* call : test::CallSpans(result)) {
+    EXPECT_EQ(call->name.rfind("call:", 0), 0u) << call->name;
+    EXPECT_EQ(call->Annotation("wave", -1), 0);
+  }
   // Work actually happened, and the phase clocks ran.
-  EXPECT_GT(receipt.docs_scanned, 0u);
+  EXPECT_GT(result.stats.docs_scanned, 0u);
   EXPECT_GT(receipt.scan_bytes, 0u);
   EXPECT_GT(receipt.payload_bytes, 0u);
   EXPECT_GT(receipt.scatter_micros, 0);
@@ -529,10 +532,15 @@ TEST_F(TraceClusterTest, ReceiptAccountsPrunedDocs) {
   auto result = cluster.Execute(
       "TRACE SELECT count(*) FROM analytics WHERE day > 500");
   ASSERT_FALSE(result.partial) << result.error_message;
-  EXPECT_EQ(result.receipt.segments_pruned, 2u);
-  EXPECT_EQ(result.receipt.segments_queried, 0u);
+  EXPECT_EQ(result.stats.segments_pruned, 2u);
+  EXPECT_EQ(result.stats.segments_queried, 0u);
   EXPECT_EQ(result.receipt.docs_pruned, 24u);  // 12 rows per fixture segment.
-  EXPECT_EQ(result.receipt.docs_scanned, 0u);
+  EXPECT_EQ(result.stats.docs_scanned, 0u);
+  EXPECT_NE(result.ToString().find("receipt: work docs_scanned=0 "
+                                   "docs_pruned=24 segments_queried=0 "
+                                   "segments_pruned=2 "),
+            std::string::npos)
+      << result.ToString();
 }
 
 TEST_F(TraceClusterTest, PerTableSeriesRollUpOnQueryFamilies) {
