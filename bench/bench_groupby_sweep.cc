@@ -1,18 +1,20 @@
-// Group-by cardinality sweep: radix-partitioned packed aggregation vs the
-// legacy single open-addressing table, 10 -> 1M groups on one segment.
-// Verifies the two paths produce identical results (checksum abort), that
-// the packed flush stays allocation-free per group (global operator new
-// counter), and reports the scatter payload bytes a server would ship with
-// and without ORDER-BY/LIMIT trimming.
+// Group-by cardinality sweep: the packed group-by (dense table up to 2^20
+// key slots, radix-partitioned above) on one segment, memberId swept 10 ->
+// 1M and grouped with day, so the key crosses the dense limit mid-sweep.
+// Aborts with MISMATCH when the groups differ from the row oracle's,
+// checks that the packed flush stays allocation-free per group (global
+// operator new counter), and reports the scatter payload bytes a server
+// would ship with and without ORDER-BY/LIMIT trimming.
 //
-// Expected shape: radix holds its throughput roughly flat as cardinality
-// grows past cache sizes while legacy falls off a rehash/probe cliff, and
-// trimmed payload is O(over-fetch) regardless of group count.
+// Expected shape: throughput stays roughly flat as cardinality grows past
+// cache sizes, and trimmed payload is O(over-fetch) regardless of group
+// count.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -23,9 +25,10 @@
 #include "query/result.h"
 #include "query/segment_executor.h"
 #include "query/table_executor.h"
+#include "tests/row_oracle.h"
 
 // Heap-allocation counter: every operator new in the process bumps this.
-// The bench resets it around each measured execution to prove the radix
+// The bench resets it around each measured execution to prove the packed
 // flush does not allocate per group (the old flush built a
 // std::vector<Value> + map node + key string per group).
 namespace {
@@ -42,18 +45,26 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so the compiler never sees free() paired with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pinot {
 namespace bench {
 namespace {
 
+// Builds the segment and streams every row into the oracle, so a 1M-row
+// run never holds its rows.
 std::shared_ptr<ImmutableSegment> BuildSweepSegment(uint32_t rows,
                                                     uint32_t cardinality,
-                                                    uint64_t seed) {
+                                                    uint64_t seed,
+                                                    test::RowOracle* oracle) {
   auto schema = Schema::Make({
       FieldSpec::Dimension("memberId", DataType::kLong),
       FieldSpec::Metric("impressions", DataType::kLong),
@@ -78,6 +89,7 @@ std::shared_ptr<ImmutableSegment> BuildSweepSegment(uint32_t rows,
       std::fprintf(stderr, "AddRow: %s\n", st.ToString().c_str());
       std::abort();
     }
+    oracle->Add(row);
   }
   auto segment = builder.Build();
   if (!segment.ok()) {
@@ -91,12 +103,11 @@ struct RunStats {
   double rows_per_sec = 0;
   uint64_t groups = 0;
   uint64_t heap_allocs = 0;  // During the last iteration only.
-  double checksum = 0;
   std::vector<double> latencies_ms;  // Sorted, one per iteration.
 };
 
 RunStats RunSweepQuery(const SegmentInterface& segment, const Query& query,
-                       const ScanOptions& options, int iters) {
+                       int iters) {
   RunStats stats;
   uint64_t docs_scanned = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -105,7 +116,7 @@ RunStats RunSweepQuery(const SegmentInterface& segment, const Query& query,
     const uint64_t allocs_before =
         g_heap_allocs.load(std::memory_order_relaxed);
     PartialResult partial;
-    Status st = ExecuteQueryOnSegment(segment, query, options, &partial);
+    Status st = ExecuteQueryOnSegment(segment, query, &partial);
     stats.heap_allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
     if (!st.ok()) {
@@ -118,10 +129,6 @@ RunStats RunSweepQuery(const SegmentInterface& segment, const Query& query,
                                      .count());
     docs_scanned += partial.stats.docs_scanned;
     stats.groups = partial.groups.size();
-    stats.checksum = 0;
-    for (uint32_t g = 0; g < partial.groups.size(); ++g) {
-      stats.checksum += partial.groups.StatesAt(g)[0].sum;
-    }
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -155,75 +162,78 @@ int Main(int argc, char** argv) {
 
   // TOP 10 so the trim demo uses the production over-fetch
   // max(10 * 5, 5000); the sweep itself never reduces, so TOP does not
-  // affect the timed path.
+  // affect the timed path. The oracle check ranks every group.
   auto query = ParsePql("SELECT sum(impressions) FROM sweep "
-                        "GROUP BY memberId TOP 10");
+                        "GROUP BY memberId, day TOP 10");
   if (!query.ok()) {
     std::fprintf(stderr, "query: %s\n", query.status().ToString().c_str());
     std::abort();
   }
   const size_t trim_keep = std::max<size_t>(
       static_cast<size_t>(query->top_n) * 5, 5000);
-
-  // Both configs disable the dense direct-indexed table (it would cover the
-  // whole sweep and hide the hash paths under test).
-  ScanOptions legacy;
-  legacy.dense_groupby_max_slots = 0;
-  legacy.radix_groupby = false;
-  ScanOptions radix;
-  radix.dense_groupby_max_slots = 0;
-  radix.radix_groupby = true;
+  Query all_groups = *query;
+  all_groups.top_n = std::numeric_limits<int>::max();
 
   BenchJsonWriter json("groupby_sweep", options.json_path);
-  std::printf("# bench_groupby_sweep — legacy open-addressing vs "
-              "radix-partitioned group-by on a %u-doc segment\n",
+  std::printf("# bench_groupby_sweep — packed group-by on a %u-doc "
+              "segment\n",
               rows);
-  std::printf("%10s %10s %14s %14s %8s %12s %14s %14s\n", "cardinality",
-              "groups", "legacy rows/s", "radix rows/s", "speedup",
-              "allocs/group", "payload bytes", "trimmed bytes");
+  std::printf("%10s %10s %10s %14s %12s %14s %14s\n", "cardinality",
+              "groups", "table", "rows/s", "allocs/group", "payload bytes",
+              "trimmed bytes");
 
   const std::vector<uint32_t> sweep = {10,    100,    1000,   10000,
                                        50000, 100000, 1000000};
   for (uint32_t cardinality : sweep) {
     if (cardinality > rows) continue;
-    auto segment = BuildSweepSegment(rows, cardinality, options.seed);
+    test::RowOracle oracle(all_groups);
+    auto segment =
+        BuildSweepSegment(rows, cardinality, options.seed, &oracle);
     const int iters = cardinality >= 100000 ? 3 : 5;
 
-    RunStats legacy_stats = RunSweepQuery(*segment, *query, legacy, iters);
-    RunStats radix_stats = RunSweepQuery(*segment, *query, radix, iters);
-    if (legacy_stats.checksum != radix_stats.checksum ||
-        legacy_stats.groups != radix_stats.groups) {
-      std::fprintf(stderr,
-                   "MISMATCH at cardinality %u: legacy %f/%llu vs radix "
-                   "%f/%llu\n",
-                   cardinality, legacy_stats.checksum,
-                   static_cast<unsigned long long>(legacy_stats.groups),
-                   radix_stats.checksum,
-                   static_cast<unsigned long long>(radix_stats.groups));
-      std::abort();
-    }
+    RunStats stats = RunSweepQuery(*segment, *query, iters);
     const double allocs_per_group =
-        radix_stats.groups > 0
-            ? static_cast<double>(radix_stats.heap_allocs) /
-                  static_cast<double>(radix_stats.groups)
-            : 0;
-    // The satellite fix under test: the packed flush must not allocate per
-    // group (vector growth is amortized-logarithmic, so the ratio tends to
-    // zero as cardinality grows).
-    if (radix_stats.groups >= 50000 && allocs_per_group > 1.0) {
+        stats.groups > 0 ? static_cast<double>(stats.heap_allocs) /
+                               static_cast<double>(stats.groups)
+                         : 0;
+    // The packed flush must not allocate per group (vector growth is
+    // amortized-logarithmic, so the ratio tends to zero as cardinality
+    // grows).
+    if (stats.groups >= 50000 && allocs_per_group > 1.0) {
       std::fprintf(stderr,
                    "ALLOC REGRESSION at cardinality %u: %llu heap "
                    "allocations for %llu groups (%.2f/group)\n",
                    cardinality,
-                   static_cast<unsigned long long>(radix_stats.heap_allocs),
-                   static_cast<unsigned long long>(radix_stats.groups),
+                   static_cast<unsigned long long>(stats.heap_allocs),
+                   static_cast<unsigned long long>(stats.groups),
                    allocs_per_group);
       std::abort();
     }
 
-    // Scatter payload a server would ship, with and without trimming.
+    // One traced run: its group table label, its answer against the row
+    // oracle (bit-identical: one unsorted segment sums in doc order).
     PartialResult partial;
-    Status st = ExecuteQueryOnSegment(*segment, *query, radix, &partial);
+    TraceSpan span = TraceSpan::Open("segment:sweep_0");
+    Status st = ExecuteQueryOnSegment(*segment, all_groups, &partial, &span);
+    if (!st.ok()) {
+      std::fprintf(stderr, "execute: %s\n", st.ToString().c_str());
+      std::abort();
+    }
+    std::string table;
+    for (const TraceSpan& phase : span.children) {
+      if (table.empty()) table = phase.LabelValue("group_table");
+    }
+    const std::string diff = oracle.Check(
+        ReduceToFinalResult(all_groups, std::move(partial)), /*exact=*/true);
+    if (!diff.empty()) {
+      std::fprintf(stderr, "MISMATCH at cardinality %u: %s\n", cardinality,
+                   diff.c_str());
+      std::abort();
+    }
+
+    // Scatter payload a server would ship, with and without trimming.
+    partial = PartialResult();
+    st = ExecuteQueryOnSegment(*segment, *query, &partial);
     if (!st.ok()) {
       std::fprintf(stderr, "execute: %s\n", st.ToString().c_str());
       std::abort();
@@ -232,18 +242,13 @@ int Main(int argc, char** argv) {
     TrimGroupPartial(*query, trim_keep, &partial);
     const size_t payload_after = partial.groups.ApproxPayloadBytes();
 
-    std::printf("%10u %10llu %14.0f %14.0f %7.2fx %12.4f %14zu %14zu\n",
-                cardinality,
-                static_cast<unsigned long long>(radix_stats.groups),
-                legacy_stats.rows_per_sec, radix_stats.rows_per_sec,
-                legacy_stats.rows_per_sec > 0
-                    ? radix_stats.rows_per_sec / legacy_stats.rows_per_sec
-                    : 0,
-                allocs_per_group, payload_before, payload_after);
+    std::printf("%10u %10llu %10s %14.0f %12.4f %14zu %14zu\n", cardinality,
+                static_cast<unsigned long long>(stats.groups), table.c_str(),
+                stats.rows_per_sec, allocs_per_group, payload_before,
+                payload_after);
     std::fflush(stdout);
 
-    json.Add("legacy", ToPoint(cardinality, legacy_stats));
-    json.Add("radix", ToPoint(cardinality, radix_stats));
+    json.Add("memberId-day", ToPoint(cardinality, stats));
   }
   return json.Write() ? 0 : 1;
 }

@@ -1,11 +1,8 @@
-// Microbenchmark for the batched columnar scan engine: per-doc reference
-// execution vs block decode + aggregation kernels + packed group-by keys,
-// on one large segment. Reports scan throughput (rows/sec) per query and
-// the batched-over-reference speedup.
-//
-// Expected shape: batched filtered SUM and single-column group-by run at
-// >= 2x the per-doc path; group-bys gain the most (no per-doc string key
-// allocation or node-based hash probe).
+// Microbenchmark for the batched columnar scan engine: block decode +
+// aggregation kernels + packed group-by keys on one large segment. Reports
+// scan throughput (rows/sec) per query and aborts with MISMATCH when an
+// answer differs from the row oracle's (bit-identical: one unsorted
+// segment accumulates in doc order, as the oracle does).
 
 #include <chrono>
 #include <cstdio>
@@ -18,6 +15,7 @@
 #include "metrics/metrics.h"
 #include "query/result.h"
 #include "query/segment_executor.h"
+#include "tests/row_oracle.h"
 #include "trace/slow_query_log.h"
 #include "trace/trace.h"
 
@@ -25,8 +23,10 @@ namespace pinot {
 namespace bench {
 namespace {
 
-std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
-                                                   uint64_t seed) {
+// Builds the segment and streams every row into the oracles, so a 1M-row
+// run never holds its rows.
+std::shared_ptr<ImmutableSegment> BuildScanSegment(
+    uint32_t rows, uint64_t seed, std::vector<test::RowOracle>* oracles) {
   auto schema = Schema::Make({
       FieldSpec::Dimension("country", DataType::kString),
       FieldSpec::Dimension("browser", DataType::kString),
@@ -64,6 +64,7 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
       std::fprintf(stderr, "AddRow: %s\n", st.ToString().c_str());
       std::abort();
     }
+    for (auto& oracle : *oracles) oracle.Add(row);
   }
   auto segment = builder.Build();
   if (!segment.ok()) {
@@ -76,19 +77,17 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
 struct RunStats {
   double rows_per_sec = 0;
   uint64_t docs_scanned = 0;
-  double checksum = 0;  // Keeps the work observable.
   std::vector<double> latencies_ms;  // One entry per iteration, sorted.
 };
 
 RunStats RunQuery(const SegmentInterface& segment, const Query& query,
-                  const ScanOptions& options, int iters,
-                  Histogram* latency = nullptr) {
+                  int iters, Histogram* latency) {
   RunStats stats;
   const auto start = std::chrono::steady_clock::now();
   for (int it = 0; it < iters; ++it) {
     const auto iter_start = std::chrono::steady_clock::now();
     PartialResult partial;
-    Status st = ExecuteQueryOnSegment(segment, query, options, &partial);
+    Status st = ExecuteQueryOnSegment(segment, query, &partial);
     if (!st.ok()) {
       std::fprintf(stderr, "execute: %s\n", st.ToString().c_str());
       std::abort();
@@ -99,14 +98,6 @@ RunStats RunQuery(const SegmentInterface& segment, const Query& query,
     stats.latencies_ms.push_back(millis);
     if (latency != nullptr) latency->Observe(millis);
     stats.docs_scanned += partial.stats.docs_scanned;
-    for (const auto& agg : partial.aggregates) stats.checksum += agg.sum;
-    const GroupTable& groups = partial.groups;
-    for (uint32_t g = 0; g < groups.size(); ++g) {
-      const AggState* states = groups.StatesAt(g);
-      for (size_t i = 0; i < groups.num_aggs(); ++i) {
-        stats.checksum += states[i].sum;
-      }
-    }
   }
   std::sort(stats.latencies_ms.begin(), stats.latencies_ms.end());
   const double seconds =
@@ -123,11 +114,6 @@ int Main(int argc, char** argv) {
   // shared --rows flag overrides.
   const uint32_t rows = options.rows == 150000 ? 1000000 : options.rows;
   const int iters = 5;
-
-  std::printf("# bench_scan_batch — per-doc vs batched scan on a %u-doc "
-              "segment (%d iterations per cell)\n",
-              rows, iters);
-  auto segment = BuildScanSegment(rows, options.seed);
 
   struct Case {
     const char* name;
@@ -149,21 +135,33 @@ int Main(int argc, char** argv) {
       {"group-by memberId (50k groups)", "groupby-memberId-50k",
        "SELECT sum(impressions) FROM scan GROUP BY memberId TOP 100000"},
   };
+  std::vector<Query> queries;
+  std::vector<test::RowOracle> oracles;
+  for (const auto& c : cases) {
+    auto query = ParsePql(c.pql);
+    if (!query.ok()) {
+      std::fprintf(stderr, "bad query %s: %s\n", c.pql,
+                   query.status().ToString().c_str());
+      std::abort();
+    }
+    queries.push_back(*query);
+    oracles.emplace_back(*query);
+  }
 
-  ScanOptions reference;
-  reference.batched_decode = false;
-  reference.packed_groupby = false;
-  ScanOptions batched;  // Defaults.
+  std::printf("# bench_scan_batch — batched scan on a %u-doc segment (%d "
+              "iterations per cell)\n",
+              rows, iters);
+  auto segment = BuildScanSegment(rows, options.seed, &oracles);
 
   MetricsRegistry metrics;
-  // Worst-3 traces of the batched path, collected from one traced run per
-  // case *after* its timed cells so the measured loop stays on the
-  // disabled (null-span) path.
+  // Worst-3 traces, collected from one traced run per case *after* its
+  // timed cells so the measured loop stays on the disabled (null-span)
+  // path.
   SlowQueryLog slow_log(SlowQueryLog::Options{/*threshold_millis=*/0.0,
                                               /*capacity=*/3});
   // Machine-readable dump gated by scripts/check_perf.sh: one point per
-  // (case, mode) keyed by the segment row count so runs at the same --rows
-  // compare against each other; achieved_qps carries the scan throughput.
+  // case keyed by the segment row count so runs at the same --rows compare
+  // against each other; achieved_qps carries the scan throughput.
   BenchJsonWriter json("scan_batch", options.json_path);
   auto to_point = [rows](RunStats& stats) {
     QpsPoint point;
@@ -179,42 +177,23 @@ int Main(int argc, char** argv) {
     point.p99_ms = Percentile(stats.latencies_ms, 0.99);
     return point;
   };
-  std::printf("%-32s %16s %16s %9s\n", "query", "per-doc rows/s",
-              "batched rows/s", "speedup");
-  for (const auto& c : cases) {
-    auto query = ParsePql(c.pql);
-    if (!query.ok()) {
-      std::fprintf(stderr, "bad query %s: %s\n", c.pql,
-                   query.status().ToString().c_str());
-      std::abort();
-    }
-    RunStats ref = RunQuery(
-        *segment, *query, reference, iters,
-        metrics.GetHistogram("bench_scan_latency_ms",
-                             {{"case", c.name}, {"mode", "per-doc"}}));
-    RunStats fast = RunQuery(
-        *segment, *query, batched, iters,
-        metrics.GetHistogram("bench_scan_latency_ms",
-                             {{"case", c.name}, {"mode", "batched"}}));
-    json.Add(std::string(c.slug) + "/per-doc", to_point(ref));
-    json.Add(std::string(c.slug) + "/batched", to_point(fast));
-    if (ref.checksum != fast.checksum) {
-      std::fprintf(stderr, "MISMATCH on %s: %f vs %f\n", c.name, ref.checksum,
-                   fast.checksum);
-      std::abort();
-    }
-    std::printf("%-32s %16.0f %16.0f %8.2fx\n", c.name, ref.rows_per_sec,
-                fast.rows_per_sec,
-                ref.rows_per_sec > 0 ? fast.rows_per_sec / ref.rows_per_sec
-                                     : 0);
+  std::printf("%-32s %16s %10s\n", "query", "rows/s", "p50 ms");
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    RunStats stats = RunQuery(
+        *segment, queries[i], iters,
+        metrics.GetHistogram("bench_scan_latency_ms", {{"case", c.name}}));
+    json.Add(c.slug, to_point(stats));
+    std::printf("%-32s %16.0f %10.3f\n", c.name, stats.rows_per_sec,
+                Percentile(stats.latencies_ms, 0.50));
     std::fflush(stdout);
 
-    // One traced execution per case for the exit-time slow-query log.
+    // One traced execution per case: checked against the row oracle, and
+    // recorded for the exit-time slow-query log.
     const auto traced_start = std::chrono::steady_clock::now();
     TraceSpan root = TraceSpan::Open("segment:scan_0");
     PartialResult partial;
-    Status st = ExecuteQueryOnSegment(*segment, *query, batched, &root,
-                                      &partial);
+    Status st = ExecuteQueryOnSegment(*segment, queries[i], &partial, &root);
     if (!st.ok()) {
       std::fprintf(stderr, "traced execute: %s\n", st.ToString().c_str());
       std::abort();
@@ -226,6 +205,12 @@ int Main(int argc, char** argv) {
                         std::chrono::steady_clock::now() - traced_start)
                         .count(),
                     c.pql, root);
+    const std::string diff = oracles[i].Check(
+        ReduceToFinalResult(queries[i], std::move(partial)), /*exact=*/true);
+    if (!diff.empty()) {
+      std::fprintf(stderr, "MISMATCH on %s: %s\n", c.name, diff.c_str());
+      std::abort();
+    }
   }
   std::printf("\n# --- slow query log (top 3) ---\n%s",
               slow_log.Dump(3).c_str());

@@ -1,5 +1,6 @@
 // Trace smoke driver for scripts/check_dumps.sh: stands up a hybrid table
-// on a two-server cluster, runs TRACE / EXPLAIN queries, forces a hedged
+// and a wide-key offline table (for the radix group-by) on a two-server
+// cluster, runs TRACE / EXPLAIN queries, forces a hedged
 // scatter call and a load-shed query, plus one slow (delay-injected) query,
 // and prints the rendered trace, the query receipt, the metrics dump, the
 // slow-query log, and the SLO health report between well-known markers so
@@ -27,6 +28,18 @@ Schema MetricsSchema() {
   return *schema;
 }
 
+// Two ~1100-value keys: 11 + 11 dict-id bits, past the dense group
+// table's 2^20 slots, so grouping by both runs on the radix table.
+Schema WideSchema() {
+  auto schema = Schema::Make({
+      FieldSpec::Dimension("a", DataType::kLong),
+      FieldSpec::Dimension("b", DataType::kLong),
+      FieldSpec::Metric("views", DataType::kLong),
+      FieldSpec::Time("day", DataType::kLong),
+  });
+  return *schema;
+}
+
 Row MakeRow(const char* page, int64_t views, int64_t day) {
   Row row;
   row.SetString("page", page).SetLong("views", views).SetLong("day", day);
@@ -42,11 +55,8 @@ int main() {
   options.broker_options.hedge_min_samples = 8;
   options.broker_options.hedge_floor_millis = 2.0;
   options.broker_options.max_inflight_queries = 1;  // Shed past 1 in flight.
-  // Force the radix group table (the page dictionary is tiny, so the dense
-  // direct-indexed table would otherwise win) and aggressive server-side
-  // trimming, so the group-by trace below carries the
-  // group_table=radix(<shards>) and trimmed=<n> labels check_dumps pins.
-  options.server_options.scan_options.dense_groupby_max_slots = 0;
+  // Aggressive server-side trimming, so the group-by trace below carries
+  // the trimmed=<n> label check_dumps pins.
   options.server_options.groupby_trim_factor = 1;
   options.server_options.groupby_trim_min = 1;
   // A small per-tick fetch budget so the health phase below can leave the
@@ -84,6 +94,30 @@ int main() {
     auto segment = builder.Build();
     if (!leader
              ->UploadSegment("metrics_OFFLINE", (*segment)->SerializeToBlob())
+             .ok()) {
+      return 1;
+    }
+  }
+
+  TableConfig wide;
+  wide.name = "wide";
+  wide.type = TableType::kOffline;
+  wide.schema = WideSchema();
+  wide.num_replicas = 2;
+  if (!leader->AddTable(wide).ok()) return 1;
+  {
+    SegmentBuildConfig config;
+    config.table_name = "wide_OFFLINE";
+    config.segment_name = "wide_0";
+    SegmentBuilder builder(WideSchema(), config);
+    for (int64_t i = 0; i < 1100; ++i) {
+      Row row;
+      row.SetLong("a", i).SetLong("b", (i * 7) % 1100).SetLong("views", i);
+      row.SetLong("day", 1);
+      if (!builder.AddRow(row).ok()) return 1;
+    }
+    auto segment = builder.Build();
+    if (!leader->UploadSegment("wide_OFFLINE", (*segment)->SerializeToBlob())
              .ok()) {
       return 1;
     }
@@ -151,11 +185,11 @@ int main() {
     }
     if (traced.span->ToString().find("hedge:") != std::string::npos) break;
   }
-  // A traced group-by: its server spans carry groupby_groups/trimmed
-  // labels (TOP 1 with a keep of 1 trims one of the two pages per server)
+  // A traced group-by: its server span carries groupby_groups/trimmed
+  // labels (TOP 1 with a keep of 1 trims all but one of the 1100 groups)
   // and the per-segment group-by phase is labelled with the radix table.
   QueryResult grouped = cluster.Execute(
-      "TRACE SELECT sum(views) FROM metrics GROUP BY page TOP 1");
+      "TRACE SELECT sum(views) FROM wide GROUP BY a, b TOP 1");
   if (!grouped.span.has_value()) {
     std::fprintf(stderr, "TRACE group-by returned no span\n");
     return 1;

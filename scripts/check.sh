@@ -44,8 +44,10 @@ CHECK_PERF_SLACK_MS="${CHECK_PERF_FIG11_SLACK_MS:-50.0}" \
 scripts/check_perf.sh ${CHECK_PERF_FIG11_BASELINE:+"${CHECK_PERF_FIG11_BASELINE}"} \
   build/BENCH_fig11_smoke.json
 # Scan-kernel and group-by-sweep curves at reduced size: gates the JSON
-# grammar per PR (full-size runs populate EXPERIMENTS.md). The sweep's
-# built-in checksum abort also re-proves radix == legacy here.
+# grammar per PR (full-size runs populate EXPERIMENTS.md). Both benches
+# abort on any answer that differs from the row oracle's, and the sweep's
+# key crosses the dense limit here, so its alloc/group gate covers the
+# radix flush.
 build/bench/bench_scan_batch --rows=50000 \
   --json=build/BENCH_scan_batch_smoke.json > /dev/null
 scripts/check_perf.sh ${CHECK_PERF_SCAN_BASELINE:+"${CHECK_PERF_SCAN_BASELINE}"} \
@@ -73,15 +75,17 @@ cmake --build build-asan -j "${JOBS}"
 
 echo
 echo "== sanitizers: concurrency regression loop (ingest-while-query," \
-     "quota reconfigure-during-admit, concurrent metrics, radix group-by) =="
+     "quota reconfigure-during-admit, concurrent metrics, radix group-by," \
+     "broker oracle fuzz) =="
 # Repeat the tests with real thread interleavings a few times under the
 # sanitizer build so rare schedules still get a chance to corrupt memory
 # loudly (MutableSegment reader/writer race, TenantQuotaManager UAF, the
-# ~64k-group radix-vs-legacy equivalence sweep with tree-wise merges, and
-# Dump()/snapshot-taking racing registration + observation churn).
+# ~64k-group row-oracle sweep with tree-wise merges, the broker oracle
+# fuzz under injected faults and leader failover, and Dump()/snapshot-taking
+# racing registration + observation churn).
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
   ctest --output-on-failure \
-  -R 'mutable_segment_test|token_bucket_test|metrics_test|snapshot_test|health_test|groupby_radix_test|filter_fuzz_test|upsert_fuzz_test' \
+  -R 'mutable_segment_test|token_bucket_test|metrics_test|snapshot_test|health_test|groupby_radix_test|filter_fuzz_test|upsert_fuzz_test|broker_oracle_fuzz_test' \
   --repeat until-fail:3)
 
 echo

@@ -195,8 +195,7 @@ PartialResult Server::ExecuteServerQuery(const ServerQueryRequest& request) {
 
   const auto exec_start = std::chrono::steady_clock::now();
   PartialResult executed = ExecuteQueryOnSegments(
-      to_query, request.query, options_.scan_options, &pool_,
-      tracing ? &server_span : nullptr);
+      to_query, request.query, &pool_, tracing ? &server_span : nullptr);
   executed.status = result.status.ok() ? executed.status : result.status;
   result = std::move(executed);
   read_locks.clear();

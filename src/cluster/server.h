@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "metrics/metrics.h"
-#include "query/segment_executor.h"
 #include "realtime/mutable_segment.h"
 #include "realtime/upsert_meta.h"
 #include "segment/segment.h"
@@ -45,9 +44,6 @@ class Server : public StateTransitionHandler, public QueryServerApi {
     // min to SIZE_MAX) to effectively disable trimming.
     size_t groupby_trim_factor = 5;
     size_t groupby_trim_min = 5000;
-    // Per-segment scan knobs (radix group-by, batched decode); tests and
-    // the trace smoke override to force specific paths.
-    ScanOptions scan_options;
   };
 
   Server(std::string id, ClusterContext ctx, Options options);

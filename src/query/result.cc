@@ -1,6 +1,7 @@
 #include "query/result.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -16,6 +17,15 @@ void AppendRenderedGroupKeyValue(std::string_view rendered, std::string* out) {
 }
 
 void AppendGroupKeyValue(const Value& v, std::string* out) {
+  // Doubles render exactly (shortest round-trip), not with ValueToString's
+  // six significant digits, so distinct values stay distinct groups.
+  if (const auto* d = std::get_if<double>(&v)) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), *d);
+    AppendRenderedGroupKeyValue(
+        std::string_view(buf, static_cast<size_t>(res.ptr - buf)), out);
+    return;
+  }
   AppendRenderedGroupKeyValue(ValueToString(v), out);
 }
 

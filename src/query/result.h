@@ -232,7 +232,8 @@ struct PartialResult {
 /// Encodes group-key values into a hashable string key (values from
 /// different segments hash identically, unlike dictionary ids). Each value
 /// is length-prefixed: string values can contain any byte, so a separator
-/// scheme cannot distinguish ("a\x1f", "b") from ("a", "\x1fb").
+/// scheme cannot distinguish ("a\x1f", "b") from ("a", "\x1fb"). Doubles
+/// render as their shortest round-trip decimal, so the key is exact.
 std::string EncodeGroupKey(const std::vector<Value>& keys);
 
 /// Appends the length-prefixed encoding of one key value to `out` —
@@ -242,8 +243,8 @@ std::string EncodeGroupKey(const std::vector<Value>& keys);
 void AppendGroupKeyValue(const Value& v, std::string* out);
 
 /// Appends the length-prefixed encoding of an already rendered value
-/// (exactly what AppendGroupKeyValue would produce for a value whose
-/// ValueToString equals `rendered`).
+/// (exactly what AppendGroupKeyValue would produce for a non-double value
+/// whose ValueToString equals `rendered`).
 void AppendRenderedGroupKeyValue(std::string_view rendered, std::string* out);
 
 /// Final client-facing query response (paper section 3.3.3 step 8; errors

@@ -266,12 +266,10 @@ void FlushLocalGroups(const std::vector<GroupByColumn>& columns,
 // Block-at-a-time execution over the raw scan pipeline: the DocIdSet hands
 // out blocks of <= kDocIdBlockSize ascending doc ids, each referenced
 // column's dict ids are bulk-decoded once per block (word-at-a-time bit
-// unpacking), and aggregation kernels run over the decoded arrays. Results
-// are identical to the per-document reference path; only the iteration
-// shape changes.
+// unpacking), and aggregation kernels run over the decoded arrays.
 
 // DISTINCTCOUNT needs per-document, per-value dictionary access (and
-// multi-value explosion), so it stays on the reference path.
+// multi-value explosion), so it stays on the per-doc path.
 bool AggsBatchable(const std::vector<BoundAggregation>& bound) {
   for (const auto& b : bound) {
     if (b.type == AggregationType::kDistinctCount) return false;
@@ -371,7 +369,7 @@ void ExecuteAggBatched(const std::vector<BoundAggregation>& bound,
       }
       if (kernels[i].table == nullptr) {
         // Missing column: the schema default, once per doc (kept as
-        // repeated adds so the float result matches the per-doc path).
+        // repeated adds so the float result is a doc-order sum).
         for (uint32_t j = 0; j < block.count; ++j) {
           st.AddDouble(bound[i].default_double);
         }
@@ -398,7 +396,7 @@ void ExecuteAggBatched(const std::vector<BoundAggregation>& bound,
 
 // --- Packed group-by -------------------------------------------------------
 
-// 64-bit finalizer (splitmix64) for the open-addressing packed-key table.
+// 64-bit finalizer (splitmix64) for the radix shard probing tables.
 inline uint64_t MixHash64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -410,11 +408,14 @@ inline uint64_t MixHash64(uint64_t x) {
 
 constexpr uint32_t kNoGroup = 0xffffffff;
 
+// Packed key spaces of at most this many slots use a dense direct-indexed
+// group table (4 MB of slots); larger ones use the radix shards.
+constexpr uint64_t kDenseGroupByMaxSlots = uint64_t{1} << 20;
+
 // Packed keys apply when every group column is single-value and the summed
 // dict-id bit widths fit in one uint64 (missing and cardinality-1 columns
 // contribute zero bits).
-bool PackedGroupByEligible(const std::vector<GroupByColumn>& group_columns,
-                           int* total_bits) {
+bool PackedGroupByEligible(const std::vector<GroupByColumn>& group_columns) {
   int bits = 0;
   for (const auto& gb : group_columns) {
     if (!gb.single_value) return false;
@@ -423,9 +424,7 @@ bool PackedGroupByEligible(const std::vector<GroupByColumn>& group_columns,
     bits += FixedBitVector::BitsFor(
         card > 0 ? static_cast<uint32_t>(card - 1) : 0);
   }
-  if (bits > 64) return false;
-  *total_bits = bits;
-  return true;
+  return bits <= 64;
 }
 
 // Number of radix partitions for the sharded packed-key path. Keys are
@@ -441,10 +440,10 @@ constexpr size_t kRadixShards = size_t{1} << kRadixShardBits;
 constexpr size_t kRadixSortThreshold = 16384;
 
 // Appends the length-prefixed key fragment AppendGroupKeyValue would
-// produce for dictionary entry `id`, without materializing a Value. Int64
-// dictionaries (the high-cardinality case) render via to_chars on the
-// stack; doubles must match ValueToString's ostream rendering exactly, so
-// they take the Value detour.
+// produce for dictionary entry `id`, without materializing a string Value.
+// Int64 dictionaries (the high-cardinality case) render via to_chars on the
+// stack; doubles go through AppendGroupKeyValue itself, so both encoders
+// render them identically.
 void AppendDictIdKeyFragment(const Dictionary& dict, uint32_t id,
                              std::string* key) {
   switch (dict.storage()) {
@@ -467,9 +466,8 @@ void AppendDictIdKeyFragment(const Dictionary& dict, uint32_t id,
 
 void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
                           const std::vector<GroupByColumn>& group_columns,
-                          const ScanOptions& options, const DocIdSet& docs,
-                          TraceSpan* span, uint64_t* scanned,
-                          PartialResult* out) {
+                          const DocIdSet& docs, TraceSpan* span,
+                          uint64_t* scanned, PartialResult* out) {
   BlockDecoder decoder;
   ValueTableCache tables;
   const size_t num_aggs = bound.size();
@@ -509,18 +507,13 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
   };
 
   // Table choice: dense direct-indexed table when the key space is small;
-  // radix-partitioned per-shard probing tables otherwise (the default); a
-  // single flat linear-probing table when radix is disabled (kept as the
-  // equivalence reference for the fuzz tests).
-  const bool dense =
-      total_bits < 64 &&
-      (uint64_t{1} << total_bits) <= options.dense_groupby_max_slots;
-  const bool radix = !dense && options.radix_groupby;
+  // radix-partitioned per-shard probing tables otherwise.
+  const bool dense = total_bits < 64 &&
+                     (uint64_t{1} << total_bits) <= kDenseGroupByMaxSlots;
   if (span != nullptr) {
     span->Label("group_table",
                 dense ? "dense"
-                      : (radix ? "radix(" + std::to_string(kRadixShards) + ")"
-                               : "open-addressing"));
+                      : "radix(" + std::to_string(kRadixShards) + ")");
   }
   std::vector<uint32_t> dense_table;
   if (dense) dense_table.assign(size_t{1} << total_bits, kNoGroup);
@@ -532,7 +525,7 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
     size_t capacity = 0;
     size_t used = 0;
   };
-  std::vector<RadixShard> shards(radix ? kRadixShards : 0);
+  std::vector<RadixShard> shards(dense ? 0 : kRadixShards);
   auto shard_find_or_add = [&](RadixShard& shard, uint64_t key) -> uint32_t {
     if (shard.capacity == 0) {
       shard.capacity = 64;
@@ -569,46 +562,6 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
     }
   };
 
-  // Legacy single-table path (radix disabled).
-  size_t oa_capacity = 0;
-  std::vector<uint64_t> oa_keys;
-  std::vector<uint32_t> oa_groups;
-  if (!dense && !radix) {
-    oa_capacity = 1024;
-    oa_keys.assign(oa_capacity, 0);
-    oa_groups.assign(oa_capacity, kNoGroup);
-  }
-  auto grow_table = [&] {
-    const size_t new_capacity = oa_capacity * 2;
-    std::vector<uint64_t> new_keys(new_capacity, 0);
-    std::vector<uint32_t> new_groups(new_capacity, kNoGroup);
-    for (size_t s = 0; s < oa_capacity; ++s) {
-      if (oa_groups[s] == kNoGroup) continue;
-      size_t pos = MixHash64(oa_keys[s]) & (new_capacity - 1);
-      while (new_groups[pos] != kNoGroup) pos = (pos + 1) & (new_capacity - 1);
-      new_keys[pos] = oa_keys[s];
-      new_groups[pos] = oa_groups[s];
-    }
-    oa_keys = std::move(new_keys);
-    oa_groups = std::move(new_groups);
-    oa_capacity = new_capacity;
-  };
-  auto oa_find_or_add = [&](uint64_t key) -> uint32_t {
-    size_t pos = MixHash64(key) & (oa_capacity - 1);
-    while (true) {
-      if (oa_groups[pos] == kNoGroup) {
-        const uint32_t g = add_group(key);
-        oa_keys[pos] = key;
-        oa_groups[pos] = g;
-        // Keep load factor under 0.7.
-        if (group_keys.size() * 10 >= oa_capacity * 7) grow_table();
-        return g;
-      }
-      if (oa_keys[pos] == key) return oa_groups[pos];
-      pos = (pos + 1) & (oa_capacity - 1);
-    }
-  };
-
   std::vector<uint64_t> key_buf(kDocIdBlockSize);
   std::vector<uint32_t> group_idx(kDocIdBlockSize);
   std::vector<uint16_t> shard_order(kDocIdBlockSize);
@@ -627,19 +580,18 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
     // Key -> group ordinal. The radix path visits docs shard-by-shard
     // (counting sort on the low key bits) so consecutive probes share one
     // cache-resident shard table; group_idx is written per doc so the
-    // accumulation below runs in doc order on every path (bit-identical
-    // float results across dense / radix / legacy).
+    // accumulation below runs in doc order on every path (dense and radix
+    // float results are bit-identical to a doc-order row oracle).
     if (dense) {
       for (uint32_t j = 0; j < block.count; ++j) {
         uint32_t& slot = dense_table[key_buf[j]];
         if (slot == kNoGroup) slot = add_group(key_buf[j]);
         group_idx[j] = slot;
       }
-    } else if (radix) {
+    } else {
       // Shard-ordered probing only pays once the combined tables outgrow
       // cache; while the table is small, probe in doc order and skip the
-      // counting-sort passes. Either way group_idx is per doc, so the
-      // accumulation below is doc-ordered and results stay bit-identical.
+      // counting-sort passes.
       if (group_keys.size() >= kRadixSortThreshold) {
         std::array<uint32_t, kRadixShards + 1> offsets{};
         for (uint32_t j = 0; j < block.count; ++j) {
@@ -662,10 +614,6 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
           group_idx[j] =
               shard_find_or_add(shards[key & (kRadixShards - 1)], key);
         }
-      }
-    } else {
-      for (uint32_t j = 0; j < block.count; ++j) {
-        group_idx[j] = oa_find_or_add(key_buf[j]);
       }
     }
 
@@ -1121,19 +1069,8 @@ SegmentPlanKind PlanQueryOnSegment(const SegmentInterface& segment,
 }
 
 Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, PartialResult* out) {
-  return ExecuteQueryOnSegment(segment, query, ScanOptions{}, out);
-}
-
-Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, const ScanOptions& options,
-                             PartialResult* out) {
-  return ExecuteQueryOnSegment(segment, query, options, nullptr, out);
-}
-
-Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, const ScanOptions& options,
-                             TraceSpan* span, PartialResult* out) {
+                             const Query& query, PartialResult* out,
+                             TraceSpan* span) {
   // Receipt phase clock: advanced at each phase boundary so plan / filter /
   // scan / agg time is accounted unconditionally (a handful of steady-clock
   // reads per segment, TRACE or not).
@@ -1258,7 +1195,7 @@ Status ExecuteQueryOnSegment(const SegmentInterface& segment,
       if (span != nullptr) agg_span.Label("kernel", "count-only");
       const int64_t matched = static_cast<int64_t>(docs.Cardinality());
       for (auto& state : states) state.count = matched;
-    } else if (options.batched_decode && AggsBatchable(bound)) {
+    } else if (AggsBatchable(bound)) {
       if (span != nullptr) agg_span.Label("kernel", "batched");
       uint64_t scanned = 0;
       ExecuteAggBatched(bound, docs, &states, &scanned);
@@ -1313,26 +1250,17 @@ Status ExecuteQueryOnSegment(const SegmentInterface& segment,
   if (span != nullptr) groupby_span = TraceSpan::Open("group-by");
   const int64_t groupby_mark = TraceSpan::NowMicros();
 
-  // Packed-key fast path: single-value group columns whose dict-id bit
-  // widths sum to <= 64 bits skip string keys and the node-based hash map
-  // entirely. Falls back to the string-key path for multi-value columns,
-  // oversized key spaces, and DISTINCTCOUNT.
-  bool grouped = false;
-  {
-    int total_bits = 0;
-    if (options.batched_decode && options.packed_groupby &&
-        AggsBatchable(bound) &&
-        PackedGroupByEligible(group_columns, &total_bits)) {
-      uint64_t scanned = 0;
-      ExecutePackedGroupBy(bound, group_columns, options, docs,
-                           span != nullptr ? &groupby_span : nullptr, &scanned,
-                           out);
-      out->stats.docs_scanned += scanned;
-      grouped = true;
-    }
-  }
-
-  if (!grouped) {
+  // Packed-key path: single-value group columns whose dict-id bit widths
+  // sum to <= 64 bits skip string keys and the node-based hash map
+  // entirely. The string-key path serves what packed keys cannot express:
+  // multi-value columns, wider key spaces, and DISTINCTCOUNT.
+  if (AggsBatchable(bound) && PackedGroupByEligible(group_columns)) {
+    uint64_t scanned = 0;
+    ExecutePackedGroupBy(bound, group_columns, docs,
+                         span != nullptr ? &groupby_span : nullptr, &scanned,
+                         out);
+    out->stats.docs_scanned += scanned;
+  } else {
     if (span != nullptr) groupby_span.Label("group_table", "string");
     LocalGroups local;
     std::string key;

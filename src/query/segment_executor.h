@@ -9,27 +9,6 @@
 
 namespace pinot {
 
-/// Tuning knobs for the raw scan path. Defaults enable the batched block
-/// engine; tests and benches disable pieces to compare against the
-/// per-document reference path (the two must produce identical results).
-struct ScanOptions {
-  /// Block-at-a-time decode + aggregation kernels (vs per-doc dictionary
-  /// dispatch).
-  bool batched_decode = true;
-  /// Pack single-value group-by dict ids into a uint64 key with a flat
-  /// open-addressing table when the summed bit widths fit in 64 bits
-  /// (falls back to string keys otherwise).
-  bool packed_groupby = true;
-  /// Use a dense direct-indexed group table when the product of group
-  /// column dictionary sizes is at most this many slots.
-  uint32_t dense_groupby_max_slots = 1u << 20;
-  /// Radix-partition packed keys by their low bits into per-shard probing
-  /// tables (cache-resident, shard-local growth) when the dense table does
-  /// not apply. Disabled, the packed path falls back to the legacy single
-  /// open-addressing table — kept as the equivalence reference for tests.
-  bool radix_groupby = true;
-};
-
 /// Executes `query` against one segment and merges the outcome into `out`.
 ///
 /// Per-segment physical planning (paper section 3.3.4): the executor picks,
@@ -41,24 +20,17 @@ struct ScanOptions {
 ///   3. the raw plan: filter evaluation (sorted-range / inverted / scan
 ///      operators chosen per column) followed by aggregation, group-by, or
 ///      selection over the matching documents.
+///
+/// When `span` is non-null, execution appends phase child spans (plan /
+/// filter / aggregate | group-by | selection) and labels the span with the
+/// chosen plan (`plan` = metadata | star-tree | raw), the per-column filter
+/// operator (`op:<col>`), the aggregation kernel (`kernel` = count-only |
+/// batched | per-doc) and the group-table kind (`group_table` = dense |
+/// radix(<shards>) | string). A null span runs the untraced path with zero
+/// overhead.
 Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, PartialResult* out);
-
-/// As above with explicit scan options (the two-argument overload uses the
-/// defaults).
-Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, const ScanOptions& options,
-                             PartialResult* out);
-
-/// Traced variant: when `span` is non-null, execution appends phase child
-/// spans (plan / filter / aggregate | group-by | selection) and labels the
-/// span with the chosen plan (`plan` = metadata | star-tree | raw), the
-/// per-column filter operator (`op:<col>`), and the group-table kind
-/// (`group_table` = dense | radix(<shards>) | open-addressing | string). A
-/// null span runs the untraced path with zero overhead.
-Status ExecuteQueryOnSegment(const SegmentInterface& segment,
-                             const Query& query, const ScanOptions& options,
-                             TraceSpan* span, PartialResult* out);
+                             const Query& query, PartialResult* out,
+                             TraceSpan* span = nullptr);
 
 /// The physical plan classes of paper section 3.3.4, in preference order.
 enum class SegmentPlanKind { kMetadataOnly, kStarTree, kRaw };

@@ -110,13 +110,6 @@ size_t TrimGroupPartial(const Query& query, size_t keep,
 PartialResult ExecuteQueryOnSegments(
     const std::vector<std::shared_ptr<SegmentInterface>>& segments,
     const Query& query, ThreadPool* pool, TraceSpan* parent) {
-  return ExecuteQueryOnSegments(segments, query, ScanOptions{}, pool, parent);
-}
-
-PartialResult ExecuteQueryOnSegments(
-    const std::vector<std::shared_ptr<SegmentInterface>>& segments,
-    const Query& query, const ScanOptions& options, ThreadPool* pool,
-    TraceSpan* parent) {
   PartialResult merged;
 
   const int64_t prune_mark = TraceSpan::NowMicros();
@@ -167,7 +160,7 @@ PartialResult ExecuteQueryOnSegments(
         span_ptr = &span;
       }
       partial.status =
-          ExecuteQueryOnSegment(*segment, query, options, span_ptr, &partial);
+          ExecuteQueryOnSegment(*segment, query, &partial, span_ptr);
       if (parent != nullptr) {
         AnnotateSegmentSpan(partial.stats, &span);
         span.Close();
@@ -187,8 +180,8 @@ PartialResult ExecuteQueryOnSegments(
           TraceSpan::Open("segment:" + to_run[i]->metadata().segment_name);
       span_ptr = &spans[i];
     }
-    partials[i].status = ExecuteQueryOnSegment(*to_run[i], query, options,
-                                               span_ptr, &partials[i]);
+    partials[i].status =
+        ExecuteQueryOnSegment(*to_run[i], query, &partials[i], span_ptr);
     if (span_ptr != nullptr) {
       AnnotateSegmentSpan(partials[i].stats, span_ptr);
       span_ptr->Close();

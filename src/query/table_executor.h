@@ -39,13 +39,6 @@ PartialResult ExecuteQueryOnSegments(
     const Query& query, ThreadPool* pool = nullptr,
     TraceSpan* parent = nullptr);
 
-/// As above with explicit per-segment scan options (the default overload
-/// uses ScanOptions{}).
-PartialResult ExecuteQueryOnSegments(
-    const std::vector<std::shared_ptr<SegmentInterface>>& segments,
-    const Query& query, const ScanOptions& options, ThreadPool* pool = nullptr,
-    TraceSpan* parent = nullptr);
-
 /// Server-side ORDER-BY/LIMIT trim (production Pinot's scatter-payload
 /// bound): keeps the `keep` groups that rank highest in the broker's final
 /// order (first aggregation descending, encoded key as tie-break) and drops

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "query/parser.h"
 #include "query/result.h"
+#include "query/segment_executor.h"
+#include "segment/segment_builder.h"
 
 namespace pinot {
 namespace {
@@ -145,6 +148,49 @@ TEST(EncodeGroupKeyTest, SeparatorBytesInStringsDoNotCollide) {
                 {Value{std::string("a\x1f")}, Value{std::string("b")}}),
             EncodeGroupKey(
                 {Value{std::string("a\x1f")}, Value{std::string("b")}}));
+}
+
+TEST(EncodeGroupKeyTest, DoublesEncodeExactly) {
+  // Six significant digits would render all three as "1".
+  const std::string a = EncodeGroupKey({Value{1.0000001}});
+  const std::string b = EncodeGroupKey({Value{1.0000002}});
+  const std::string c = EncodeGroupKey({Value{1.0000003}});
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, c);
+  EXPECT_NE(a, c);
+  EXPECT_EQ(a, EncodeGroupKey({Value{1.0000001}}));
+}
+
+TEST(EncodeGroupKeyTest, PackedAndStringKeyPathsEncodeDoublesAlike) {
+  // The packed group-by renders keys from the dictionary, the string-key
+  // path from decoded values; partials from either must merge, so both
+  // must produce EncodeGroupKey's bytes for every distinct double.
+  auto schema = Schema::Make({FieldSpec::Dimension("d", DataType::kDouble)});
+  ASSERT_TRUE(schema.ok());
+  SegmentBuildConfig config;
+  config.table_name = "t";
+  config.segment_name = "t_0";
+  SegmentBuilder builder(*schema, config);
+  const std::vector<double> values = {1.0, 1.0000001, 1.0000002, 1.0000003};
+  for (double d : values) {
+    ASSERT_TRUE(builder.AddRow(Row().SetDouble("d", d)).ok());
+  }
+  auto segment = builder.Build();
+  ASSERT_TRUE(segment.ok());
+  for (const char* pql :
+       {"SELECT count(*) FROM t GROUP BY d TOP 10",
+        "SELECT count(*), distinctcount(d) FROM t GROUP BY d TOP 10"}) {
+    auto query = ParsePql(pql);
+    ASSERT_TRUE(query.ok());
+    PartialResult partial;
+    ASSERT_TRUE(ExecuteQueryOnSegment(**segment, *query, &partial).ok());
+    EXPECT_EQ(partial.groups.size(), values.size()) << pql;
+    for (double d : values) {
+      EXPECT_NE(partial.groups.Find(EncodeGroupKey({Value{d}})),
+                GroupTable::kInvalidGroup)
+          << pql << " d=" << d;
+    }
+  }
 }
 
 TEST(PartialResultTest, AggregateCountMismatchIsErrorNotUB) {

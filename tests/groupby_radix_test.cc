@@ -1,9 +1,10 @@
-// Equivalence and trimming tests for the high-cardinality group-by engine:
+// Oracle and trimming tests for the high-cardinality group-by engine:
 //
-//   1. The radix-partitioned packed group-by is bit-identical to the legacy
-//      single open-addressing table and to the string-keyed fallback, from
-//      10 to ~64k groups, on single segments and through the tree-wise
-//      multi-segment combine.
+//   1. The dense, radix-partitioned and string-key group tables give the
+//      row oracle's answer, from 10 to ~64k member ids, bit for bit on one
+//      segment, and through the tree-wise multi-segment combine (two
+//      pooled runs bit-identical to each other, and the oracle's answer up
+//      to double-sum rounding).
 //   2. Server-side ORDER-BY/LIMIT trimming with the production over-fetch
 //      never changes the broker-level top-N (byte-identical results under
 //      fuzzed group-key-partitioned merges).
@@ -26,6 +27,7 @@
 #include "query/result.h"
 #include "query/table_executor.h"
 #include "segment/segment_builder.h"
+#include "tests/row_oracle.h"
 #include "tests/test_util.h"
 
 namespace pinot {
@@ -78,31 +80,9 @@ Segments BuildSplit(const Schema& schema, const std::vector<Row>& rows,
   return segments;
 }
 
-// The three hash-table paths under test; dense direct indexing is disabled
-// so small cardinalities exercise the hash paths instead of bypassing them.
-ScanOptions RadixOptions() {
-  ScanOptions options;
-  options.dense_groupby_max_slots = 0;
-  options.radix_groupby = true;
-  return options;
-}
-
-ScanOptions LegacyOptions() {
-  ScanOptions options;
-  options.dense_groupby_max_slots = 0;
-  options.radix_groupby = false;
-  return options;
-}
-
-ScanOptions StringKeyOptions() {
-  ScanOptions options;
-  options.packed_groupby = false;
-  return options;
-}
-
 // Bit-exact comparison: every group of `a` exists in `b` with exactly equal
 // (==, not near) aggregation state. Floating-point equality is the point —
-// all paths must accumulate in document order.
+// the pooled combine merges in a fixed order.
 void ExpectSameGroups(const GroupTable& a, const GroupTable& b,
                       const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -122,57 +102,96 @@ void ExpectSameGroups(const GroupTable& a, const GroupTable& b,
   }
 }
 
-void ExpectPathsAgree(const Schema& schema, const std::vector<Row>& rows,
-                      const std::string& label) {
-  auto query = ParsePql(
-      "SELECT sum(m_double), sum(m_long), count(*), min(m_long), "
-      "max(m_double) FROM radix GROUP BY memberId TOP 1000000");
-  ASSERT_TRUE(query.ok());
+// The group table a traced segment run picked.
+std::string GroupTableLabel(const TraceSpan& parent) {
+  for (const TraceSpan& segment : parent.children) {
+    for (const TraceSpan& phase : segment.children) {
+      const std::string table = phase.LabelValue("group_table");
+      if (!table.empty()) return table;
+    }
+  }
+  return "";
+}
 
-  for (int num_segments : {1, 3}) {
-    const std::string what =
-        label + " (" + std::to_string(num_segments) + " segments)";
-    const Segments segments = BuildSplit(schema, rows, num_segments, "seg");
-    ThreadPool pool(4);
-    PartialResult radix =
-        ExecuteQueryOnSegments(segments, *query, RadixOptions(), &pool);
-    PartialResult legacy =
-        ExecuteQueryOnSegments(segments, *query, LegacyOptions(), &pool);
-    PartialResult strings =
-        ExecuteQueryOnSegments(segments, *query, StringKeyOptions(), &pool);
-    ASSERT_TRUE(radix.status.ok()) << radix.status.ToString();
-    ASSERT_TRUE(legacy.status.ok()) << legacy.status.ToString();
-    ASSERT_TRUE(strings.status.ok()) << strings.status.ToString();
-    ExpectSameGroups(radix.groups, legacy.groups, what + " radix-vs-legacy");
-    ExpectSameGroups(radix.groups, strings.groups, what + " radix-vs-string");
+// One query per group table: a memberId key is dense up to 2^20 member ids;
+// adding site, t and m_long (3 + 5 + at least 9 bits) takes every
+// cardinality past the dense limit; DISTINCTCOUNT needs the string-key
+// table.
+struct TableCase {
+  const char* table;
+  const char* pql;
+};
+constexpr TableCase kTableCases[] = {
+    {"dense",
+     "SELECT sum(m_double), sum(m_long), count(*), min(m_long), "
+     "max(m_double) FROM radix GROUP BY memberId TOP 1000000"},
+    {"radix(64)",
+     "SELECT sum(m_double), sum(m_long), count(*), min(m_long), "
+     "max(m_double) FROM radix GROUP BY memberId, site, t, m_long TOP "
+     "1000000"},
+    {"string",
+     "SELECT sum(m_double), sum(m_long), count(*), min(m_long), "
+     "max(m_double), distinctcount(site) FROM radix GROUP BY memberId TOP "
+     "1000000"},
+};
+
+void ExpectTablesMatchOracle(const Schema& schema, const std::vector<Row>& rows,
+                             const std::string& label) {
+  const Segments splits[] = {BuildSplit(schema, rows, 1, "seg"),
+                             BuildSplit(schema, rows, 3, "seg")};
+  ThreadPool pool(4);
+  for (const TableCase& c : kTableCases) {
+    auto query = ParsePql(c.pql);
+    ASSERT_TRUE(query.ok()) << c.pql;
+    test::RowOracle oracle(*query);
+    for (const Row& row : rows) oracle.Add(row);
+
+    for (const Segments& segments : splits) {
+      const size_t num_segments = segments.size();
+      const std::string what = label + " " + c.table + " (" +
+                               std::to_string(num_segments) + " segments)";
+      TraceSpan parent = TraceSpan::Open("combine");
+      PartialResult first =
+          ExecuteQueryOnSegments(segments, *query, &pool, &parent);
+      ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+      EXPECT_EQ(GroupTableLabel(parent), c.table) << what;
+      if (num_segments > 1) {
+        PartialResult second = ExecuteQueryOnSegments(segments, *query, &pool);
+        ExpectSameGroups(first.groups, second.groups, what + " rerun");
+      }
+      // One segment accumulates in doc order, as the oracle does.
+      const QueryResult result = ReduceToFinalResult(*query, std::move(first));
+      EXPECT_EQ(oracle.Check(result, /*exact=*/num_segments == 1), "")
+          << what;
+    }
   }
 }
 
-TEST(GroupByRadixTest, BitIdenticalAcrossTablePathsFixedCardinalities) {
+TEST(GroupByRadixTest, TablesMatchRowOracleFixedCardinalities) {
   // 65536 is the CI-sized high-cardinality case (every radix shard holds
-  // ~1k groups and has grown several times).
+  // thousands of groups and has grown several times).
   for (uint32_t cardinality : {10u, 1000u, 65536u}) {
     Random rng(7 + cardinality);
     const Schema schema = SweepSchema();
     const int rows =
         static_cast<int>(std::min<uint32_t>(2 * cardinality + 2000, 140000));
-    ExpectPathsAgree(schema, MakeRows(rng, rows, cardinality),
-                     "cardinality=" + std::to_string(cardinality));
+    ExpectTablesMatchOracle(schema, MakeRows(rng, rows, cardinality),
+                            "cardinality=" + std::to_string(cardinality));
   }
 }
 
 class GroupByRadixFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(GroupByRadixFuzzTest, BitIdenticalAtRandomCardinalities) {
+TEST_P(GroupByRadixFuzzTest, TablesMatchRowOracleAtRandomCardinalities) {
   Random rng(GetParam());
   const Schema schema = SweepSchema();
   const uint32_t cardinality =
       10 + static_cast<uint32_t>(rng.NextUint64(99990));
   const int rows = static_cast<int>(
       std::min<uint32_t>(std::max<uint32_t>(2 * cardinality, 2000), 60000));
-  ExpectPathsAgree(schema, MakeRows(rng, rows, cardinality),
-                   "seed=" + std::to_string(GetParam()) +
-                       " cardinality=" + std::to_string(cardinality));
+  ExpectTablesMatchOracle(schema, MakeRows(rng, rows, cardinality),
+                          "seed=" + std::to_string(GetParam()) +
+                              " cardinality=" + std::to_string(cardinality));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupByRadixFuzzTest,

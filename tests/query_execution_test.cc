@@ -1,9 +1,8 @@
-#include <map>
-
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "query/segment_executor.h"
+#include "tests/row_oracle.h"
 #include "tests/test_util.h"
 
 namespace pinot {
@@ -329,50 +328,15 @@ TEST_P(IndexEquivalenceTest, AllIndexConfigurationsAgree) {
 INSTANTIATE_TEST_SUITE_P(IndexConfigs, IndexEquivalenceTest,
                          ::testing::Values(0, 1, 2, 3));
 
-// --- Batched scan path equivalence -----------------------------------------
+// --- Batched scan path vs the row oracle ------------------------------------
 //
-// The block-decode aggregation kernels and packed group-by keys must be
-// indistinguishable from the per-document reference path.
+// The block-decode aggregation kernels, packed group-by keys (dense and
+// radix tables) and the per-doc / string-key path for what packed keys
+// cannot express must all give the row oracle's answer. One segment and
+// no sort column keep doc order equal to row order, so doubles are
+// compared bit for bit.
 
-QueryResult RunWithOptions(const std::shared_ptr<SegmentInterface>& segment,
-                           const std::string& pql,
-                           const ScanOptions& options) {
-  auto query = ParsePql(pql);
-  EXPECT_TRUE(query.ok()) << pql << ": " << query.status().ToString();
-  PartialResult partial;
-  Status st = ExecuteQueryOnSegment(*segment, *query, options, &partial);
-  EXPECT_TRUE(st.ok()) << pql << ": " << st.ToString();
-  return ReduceToFinalResult(*query, std::move(partial));
-}
-
-// Canonical group-key -> finalized-values map, so comparisons are
-// insensitive to tie-breaking in the TOP sort.
-std::map<std::string, std::string> GroupRowsByKey(const QueryResult& r) {
-  std::map<std::string, std::string> out;
-  for (const auto& row : r.group_rows) {
-    std::string key;
-    for (const auto& k : row.keys) key += ValueToString(k) + "|";
-    std::string vals;
-    for (const auto& v : row.values) vals += ValueToString(v) + "|";
-    out[key] = vals;
-  }
-  return out;
-}
-
-void ExpectSameResults(const QueryResult& a, const QueryResult& b,
-                       const std::string& pql, const char* variant) {
-  ASSERT_EQ(a.aggregates.size(), b.aggregates.size()) << pql;
-  for (size_t i = 0; i < a.aggregates.size(); ++i) {
-    EXPECT_EQ(ValueToString(a.aggregates[i]), ValueToString(b.aggregates[i]))
-        << pql << " [" << variant << "]";
-  }
-  EXPECT_EQ(GroupRowsByKey(a), GroupRowsByKey(b))
-      << pql << " [" << variant << "]";
-  EXPECT_EQ(a.stats.docs_scanned, b.stats.docs_scanned)
-      << pql << " [" << variant << "]";
-}
-
-std::shared_ptr<ImmutableSegment> BuildLargeRandomSegment() {
+std::vector<test::AnalyticsRow> LargeRandomRows() {
   const std::vector<std::string> countries = {"us", "ca", "de", "fr", "jp",
                                               "br", "in", "uk"};
   const std::vector<std::string> browsers = {"firefox", "chrome", "safari",
@@ -394,58 +358,86 @@ std::shared_ptr<ImmutableSegment> BuildLargeRandomSegment() {
     r.day = 100 + static_cast<int64_t>(rng.NextUint64(30));
     rows.push_back(std::move(r));
   }
-  return BuildAnalyticsSegment({}, std::move(rows));
+  return rows;
 }
 
-TEST(BatchedScanEquivalenceTest, BatchedPathsMatchPerDocReference) {
-  const std::vector<std::shared_ptr<SegmentInterface>> segments = {
-      BuildAnalyticsSegment(), BuildLargeRandomSegment()};
-  const std::vector<std::string> queries = {
+// The kernel or group table a traced run picked (`kernel` on aggregate
+// spans, `group_table` on group-by spans).
+std::string PathLabel(const TraceSpan& segment_span) {
+  for (const TraceSpan& phase : segment_span.children) {
+    for (const char* key : {"kernel", "group_table"}) {
+      const std::string value = phase.LabelValue(key);
+      if (!value.empty()) return value;
+    }
+  }
+  return segment_span.LabelValue("plan");
+}
+
+TEST(BatchedScanOracleTest, BatchedPathsMatchRowOracle) {
+  const std::vector<std::vector<test::AnalyticsRow>> datasets = {
+      test::AnalyticsRows(), LargeRandomRows()};
+  // Each query with the path it takes on the 3000-row segment.
+  const std::vector<std::pair<std::string, std::string>> queries = {
       // Range-like doc sets (no filter / sorted-range).
-      "SELECT sum(impressions), min(impressions), max(impressions), "
-      "avg(clicks) FROM t",
-      "SELECT sum(impressions) FROM t WHERE day BETWEEN 101 AND 110",
+      {"SELECT sum(impressions), min(impressions), max(impressions), "
+       "avg(clicks) FROM t",
+       "batched"},
+      {"SELECT sum(impressions) FROM t WHERE day BETWEEN 101 AND 110",
+       "batched"},
       // Bitmap doc sets.
-      "SELECT sum(impressions), avg(impressions) FROM t WHERE browser = "
-      "'firefox' OR browser = 'safari'",
-      "SELECT min(clicks), max(clicks) FROM t WHERE country IN ('us', 'de') "
-      "AND day >= 101",
+      {"SELECT sum(impressions), avg(impressions) FROM t WHERE browser = "
+       "'firefox' OR browser = 'safari'",
+       "batched"},
+      {"SELECT min(clicks), max(clicks) FROM t WHERE country IN ('us', 'de') "
+       "AND day >= 101",
+       "batched"},
       // Group-bys: single column, multi column, high-cardinality column,
       // and filtered variants.
-      "SELECT sum(impressions) FROM t GROUP BY country TOP 1000",
-      "SELECT count(*), sum(impressions), min(impressions), "
-      "max(impressions), avg(clicks) FROM t GROUP BY country, browser TOP "
-      "1000",
-      "SELECT sum(impressions) FROM t WHERE browser = 'firefox' GROUP BY "
-      "country, day TOP 1000",
-      "SELECT count(*) FROM t GROUP BY memberId, country TOP 10000",
-      // Multi-value group column: must fall back to string keys and still
-      // agree (exploded combinations).
-      "SELECT count(*), sum(impressions) FROM t GROUP BY tags TOP 1000",
-      "SELECT count(*) FROM t GROUP BY country, tags TOP 1000",
-      // DISTINCTCOUNT stays on the reference path in every configuration.
-      "SELECT distinctcount(browser) FROM t WHERE country = 'us' GROUP BY "
-      "country TOP 1000",
+      {"SELECT sum(impressions) FROM t GROUP BY country TOP 1000", "dense"},
+      {"SELECT count(*), sum(impressions), min(impressions), "
+       "max(impressions), avg(clicks) FROM t GROUP BY country, browser TOP "
+       "1000",
+       "dense"},
+      {"SELECT sum(impressions) FROM t WHERE browser = 'firefox' GROUP BY "
+       "country, day TOP 1000",
+       "dense"},
+      {"SELECT count(*) FROM t GROUP BY memberId, country TOP 10000",
+       "dense"},
+      // Past the dense limit: 9 + 3 + 5 + 12 key bits.
+      {"SELECT count(*), sum(clicks) FROM t GROUP BY memberId, country, day, "
+       "impressions TOP 10000",
+       "radix(64)"},
+      // Multi-value group column: string keys, exploded per entry.
+      {"SELECT count(*), sum(impressions) FROM t GROUP BY tags TOP 1000",
+       "string"},
+      {"SELECT count(*) FROM t GROUP BY country, tags TOP 1000", "string"},
+      // DISTINCTCOUNT stays on the per-doc path.
+      {"SELECT distinctcount(browser) FROM t WHERE country = 'us' GROUP BY "
+       "country TOP 1000",
+       "string"},
+      {"SELECT distinctcount(tags), sum(clicks) FROM t WHERE day < 105",
+       "per-doc"},
   };
 
-  ScanOptions reference;
-  reference.batched_decode = false;
-  reference.packed_groupby = false;
-  ScanOptions batched_dense;  // Defaults: packed keys, dense table allowed.
-  ScanOptions batched_open;
-  batched_open.dense_groupby_max_slots = 0;  // Force open addressing.
-  ScanOptions batched_string_keys;
-  batched_string_keys.packed_groupby = false;
-
-  for (const auto& segment : segments) {
-    for (const auto& pql : queries) {
-      const QueryResult expected = RunWithOptions(segment, pql, reference);
-      ExpectSameResults(RunWithOptions(segment, pql, batched_dense), expected,
-                        pql, "dense packed keys");
-      ExpectSameResults(RunWithOptions(segment, pql, batched_open), expected,
-                        pql, "open-addressing packed keys");
-      ExpectSameResults(RunWithOptions(segment, pql, batched_string_keys),
-                        expected, pql, "batched decode, string keys");
+  for (const auto& dataset : datasets) {
+    auto segment = BuildAnalyticsSegment({}, dataset);
+    std::vector<Row> rows;
+    for (const auto& r : dataset) rows.push_back(test::ToRow(r));
+    for (const auto& [pql, path] : queries) {
+      auto query = ParsePql("TRACE " + pql);
+      ASSERT_TRUE(query.ok()) << pql << ": " << query.status().ToString();
+      PartialResult partial;
+      TraceSpan span = TraceSpan::Open("segment");
+      Status st = ExecuteQueryOnSegment(*segment, *query, &partial, &span);
+      ASSERT_TRUE(st.ok()) << pql << ": " << st.ToString();
+      if (&dataset == &datasets.back()) {
+        EXPECT_EQ(PathLabel(span), path) << pql;
+      }
+      const QueryResult result =
+          ReduceToFinalResult(*query, std::move(partial));
+      EXPECT_EQ(test::CheckAgainstRows(*query, rows, result, /*exact=*/true),
+                "")
+          << pql << " over " << rows.size() << " rows";
     }
   }
 }
