@@ -6,9 +6,17 @@
 // operator new counter), and reports the scatter payload bytes a server
 // would ship with and without ORDER-BY/LIMIT trimming.
 //
+// At the points with at least 50k groups it also runs a server's pooled
+// share: the same rows split into 4 segments, combined on a 4-thread pool
+// by ExecuteQueryOnSegments (hash-sharded above kShardedCombineMinGroups).
+// `pool/seg` is that share's wall time over its slowest segment run alone,
+// and `combine allocs/group` the heap allocations the combine adds per
+// group (the pooled run's minus the segments' own). The pooled answer is
+// checked against the row oracle too.
+//
 // Expected shape: throughput stays roughly flat as cardinality grows past
-// cache sizes, and trimmed payload is O(over-fetch) regardless of group
-// count.
+// cache sizes, trimmed payload is O(over-fetch) regardless of group count,
+// and the pooled share stays within a small factor of its slowest segment.
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +30,7 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "query/result.h"
 #include "query/segment_executor.h"
 #include "query/table_executor.h"
@@ -61,10 +70,9 @@ namespace {
 
 // Builds the segment and streams every row into the oracle, so a 1M-row
 // run never holds its rows.
-std::shared_ptr<ImmutableSegment> BuildSweepSegment(uint32_t rows,
-                                                    uint32_t cardinality,
-                                                    uint64_t seed,
-                                                    test::RowOracle* oracle) {
+std::shared_ptr<ImmutableSegment> BuildSweepSegment(
+    uint32_t rows, uint32_t cardinality, uint64_t seed,
+    test::RowOracle* oracle, const std::string& name = "sweep_0") {
   auto schema = Schema::Make({
       FieldSpec::Dimension("memberId", DataType::kLong),
       FieldSpec::Metric("impressions", DataType::kLong),
@@ -76,7 +84,7 @@ std::shared_ptr<ImmutableSegment> BuildSweepSegment(uint32_t rows,
   }
   SegmentBuildConfig config;
   config.table_name = "sweep";
-  config.segment_name = "sweep_0";
+  config.segment_name = name;
   SegmentBuilder builder(*schema, config);
   Random rng(seed);
   for (uint32_t i = 0; i < rows; ++i) {
@@ -139,6 +147,68 @@ RunStats RunSweepQuery(const SegmentInterface& segment, const Query& query,
   return stats;
 }
 
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// A server's pooled share of `segments`: median wall times over `iters` of
+// the slowest segment alone and of the pooled ExecuteQueryOnSegments, and
+// the heap allocations the combine adds per group.
+struct PooledShare {
+  double slowest_segment_ms = 0;
+  double pooled_ms = 0;
+  double combine_allocs_per_group = 0;
+};
+
+PooledShare RunPooledShare(
+    const std::vector<std::shared_ptr<SegmentInterface>>& segments,
+    const Query& query, ThreadPool* pool, int iters) {
+  PooledShare share;
+  uint64_t segment_allocs = 0;
+  for (const auto& segment : segments) {
+    std::vector<double> ms;
+    for (int it = 0; it < iters; ++it) {
+      const auto start = std::chrono::steady_clock::now();
+      const uint64_t allocs_before =
+          g_heap_allocs.load(std::memory_order_relaxed);
+      PartialResult partial;
+      Status st = ExecuteQueryOnSegment(*segment, query, &partial);
+      if (it == 0) {
+        segment_allocs +=
+            g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+      }
+      ms.push_back(MillisSince(start));
+      if (!st.ok()) {
+        std::fprintf(stderr, "execute: %s\n", st.ToString().c_str());
+        std::abort();
+      }
+    }
+    std::sort(ms.begin(), ms.end());
+    share.slowest_segment_ms =
+        std::max(share.slowest_segment_ms, Percentile(ms, 0.50));
+  }
+  std::vector<double> ms;
+  for (int it = 0; it < iters; ++it) {
+    const auto start = std::chrono::steady_clock::now();
+    const uint64_t allocs_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    PartialResult partial = ExecuteQueryOnSegments(segments, query, pool);
+    const uint64_t allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+    ms.push_back(MillisSince(start));
+    if (it == 0 && !partial.groups.empty()) {
+      share.combine_allocs_per_group =
+          (static_cast<double>(allocs) - static_cast<double>(segment_allocs)) /
+          static_cast<double>(partial.groups.size());
+    }
+  }
+  std::sort(ms.begin(), ms.end());
+  share.pooled_ms = Percentile(ms, 0.50);
+  return share;
+}
+
 QpsPoint ToPoint(uint32_t cardinality, RunStats& stats) {
   QpsPoint point;
   point.offered_qps = cardinality;  // Curve key: the swept group count.
@@ -178,9 +248,11 @@ int Main(int argc, char** argv) {
   std::printf("# bench_groupby_sweep — packed group-by on a %u-doc "
               "segment\n",
               rows);
-  std::printf("%10s %10s %10s %14s %12s %14s %14s\n", "cardinality",
-              "groups", "table", "rows/s", "allocs/group", "payload bytes",
-              "trimmed bytes");
+  std::printf("%10s %10s %10s %14s %12s %14s %14s %9s %22s\n",
+              "cardinality", "groups", "table", "rows/s", "allocs/group",
+              "payload bytes", "trimmed bytes", "pool/seg",
+              "combine allocs/group");
+  ThreadPool pool(4);
 
   const std::vector<uint32_t> sweep = {10,    100,    1000,   10000,
                                        50000, 100000, 1000000};
@@ -242,10 +314,43 @@ int Main(int argc, char** argv) {
     TrimGroupPartial(*query, trim_keep, &partial);
     const size_t payload_after = partial.groups.ApproxPayloadBytes();
 
-    std::printf("%10u %10llu %10s %14.0f %12.4f %14zu %14zu\n", cardinality,
-                static_cast<unsigned long long>(stats.groups), table.c_str(),
-                stats.rows_per_sec, allocs_per_group, payload_before,
-                payload_after);
+    // The pooled 4-segment share at the high-cardinality points, checked
+    // against its own oracle (integer sums: exact in any merge order).
+    std::string pool_ratio = "-";
+    std::string combine_allocs = "-";
+    if (stats.groups >= 50000) {
+      segment.reset();
+      test::RowOracle pooled_oracle(all_groups);
+      std::vector<std::shared_ptr<SegmentInterface>> segments;
+      for (int s = 0; s < 4; ++s) {
+        segments.push_back(BuildSweepSegment(
+            rows / 4, cardinality, options.seed + 1 + static_cast<uint64_t>(s),
+            &pooled_oracle, "sweep_" + std::to_string(s)));
+      }
+      const PooledShare share = RunPooledShare(segments, *query, &pool, iters);
+      const std::string pooled_diff = pooled_oracle.Check(
+          ReduceToFinalResult(all_groups,
+                              ExecuteQueryOnSegments(segments, all_groups,
+                                                     &pool)),
+          /*exact=*/true);
+      if (!pooled_diff.empty()) {
+        std::fprintf(stderr, "MISMATCH (pooled) at cardinality %u: %s\n",
+                     cardinality, pooled_diff.c_str());
+        std::abort();
+      }
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2f",
+                    share.pooled_ms / share.slowest_segment_ms);
+      pool_ratio = buf;
+      std::snprintf(buf, sizeof(buf), "%.4f", share.combine_allocs_per_group);
+      combine_allocs = buf;
+    }
+
+    std::printf("%10u %10llu %10s %14.0f %12.4f %14zu %14zu %9s %22s\n",
+                cardinality, static_cast<unsigned long long>(stats.groups),
+                table.c_str(), stats.rows_per_sec, allocs_per_group,
+                payload_before, payload_after, pool_ratio.c_str(),
+                combine_allocs.c_str());
     std::fflush(stdout);
 
     json.Add("memberId-day", ToPoint(cardinality, stats));

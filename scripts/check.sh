@@ -80,12 +80,12 @@ echo "== sanitizers: concurrency regression loop (ingest-while-query," \
 # Repeat the tests with real thread interleavings a few times under the
 # sanitizer build so rare schedules still get a chance to corrupt memory
 # loudly (MutableSegment reader/writer race, TenantQuotaManager UAF, the
-# ~64k-group row-oracle sweep with tree-wise merges, the broker oracle
-# fuzz under injected faults and leader failover, and Dump()/snapshot-taking
-# racing registration + observation churn).
+# ~64k-group row-oracle sweep and the hash-sharded combine, the broker
+# oracle fuzz under injected faults and leader failover, and Dump()/
+# snapshot-taking racing registration + observation churn).
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
   ctest --output-on-failure \
-  -R 'mutable_segment_test|token_bucket_test|metrics_test|snapshot_test|health_test|groupby_radix_test|filter_fuzz_test|upsert_fuzz_test|broker_oracle_fuzz_test' \
+  -R 'mutable_segment_test|token_bucket_test|metrics_test|snapshot_test|health_test|groupby_radix_test|filter_fuzz_test|upsert_fuzz_test|broker_oracle_fuzz_test|topk_test' \
   --repeat until-fail:3)
 
 echo

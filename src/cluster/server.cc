@@ -193,25 +193,23 @@ PartialResult Server::ExecuteServerQuery(const ServerQueryRequest& request) {
     read_locks.push_back(mutable_segment->AcquireReadLock());
   }
 
+  // Server-side TOP/LIMIT trim inside the combine: ship the over-fetched
+  // top-N groups instead of the full group table (paper section 4: scatter
+  // payloads stay bounded at million-group cardinalities); selections ship
+  // at most LIMIT rows.
+  const size_t group_keep =
+      std::max(static_cast<size_t>(request.query.top_n) *
+                   options_.groupby_trim_factor,
+               options_.groupby_trim_min);
   const auto exec_start = std::chrono::steady_clock::now();
-  PartialResult executed = ExecuteQueryOnSegments(
-      to_query, request.query, &pool_, tracing ? &server_span : nullptr);
+  PartialResult executed =
+      ExecuteQueryOnSegments(to_query, request.query, &pool_,
+                             tracing ? &server_span : nullptr, group_keep);
   executed.status = result.status.ok() ? executed.status : result.status;
   result = std::move(executed);
   read_locks.clear();
-
-  // Server-side ORDER-BY/LIMIT trim: ship the over-fetched top-N instead
-  // of the full group table (paper section 4: scatter payloads stay
-  // bounded at million-group cardinalities).
-  const size_t groups_before_trim = result.groups.size();
-  size_t trimmed_groups = 0;
-  if (!request.query.group_by.empty() && request.query.top_n > 0) {
-    const size_t keep =
-        std::max(static_cast<size_t>(request.query.top_n) *
-                     options_.groupby_trim_factor,
-                 options_.groupby_trim_min);
-    trimmed_groups = TrimGroupPartial(request.query, keep, &result);
-  }
+  const size_t groups_before_trim = result.receipt.groups;
+  const size_t trimmed_groups = result.receipt.trimmed;
 
   const double execution_millis =
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -224,8 +222,6 @@ PartialResult Server::ExecuteServerQuery(const ServerQueryRequest& request) {
   // Receipt: queue wait, group counts, shipped payload, and an estimate of
   // the column bytes decoded (4-byte dict ids per referenced column).
   result.receipt.queue_micros += queue_micros;
-  result.receipt.groups += groups_before_trim;
-  result.receipt.trimmed += trimmed_groups;
   size_t referenced_columns = request.query.group_by.size();
   for (const auto& spec : request.query.aggregations) {
     if (!spec.column.empty()) ++referenced_columns;

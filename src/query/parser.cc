@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -208,10 +209,7 @@ class Parser {
       }
     }
     if (AcceptKeyword("TOP")) {
-      if (Peek().type != TokenType::kNumber || !Peek().is_integer) {
-        return Status::InvalidArgument("expected integer after TOP");
-      }
-      query.top_n = static_cast<int>(Next().integer);
+      PINOT_RETURN_NOT_OK(ParseCount("TOP", &query.top_n));
     }
     if (AcceptKeyword("ORDER")) {
       PINOT_RETURN_NOT_OK(ExpectKeyword("BY"));
@@ -230,10 +228,7 @@ class Parser {
       } while (AcceptSymbol(","));
     }
     if (AcceptKeyword("LIMIT")) {
-      if (Peek().type != TokenType::kNumber || !Peek().is_integer) {
-        return Status::InvalidArgument("expected integer after LIMIT");
-      }
-      query.limit = static_cast<int>(Next().integer);
+      PINOT_RETURN_NOT_OK(ParseCount("LIMIT", &query.limit));
     }
     if (Peek().type != TokenType::kEnd) {
       return Status::InvalidArgument("unexpected trailing token: " +
@@ -248,6 +243,24 @@ class Parser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
   const Token& Next() { return tokens_[pos_++]; }
+
+  // A TOP / LIMIT count: an integer in [0, 2^31 - 1]. The lexer reads a
+  // '-' here as a sign and saturates overflow, so both reach this check.
+  Status ParseCount(const std::string& keyword, int* out) {
+    const Token& token = Peek();
+    if (token.type != TokenType::kNumber || !token.is_integer) {
+      return Status::InvalidArgument("expected integer after " + keyword);
+    }
+    if (token.integer < 0 ||
+        token.integer > std::numeric_limits<int32_t>::max()) {
+      return Status::InvalidArgument(keyword + " out of range [0, " +
+                                     std::to_string(std::numeric_limits<
+                                                    int32_t>::max()) +
+                                     "]: " + token.text);
+    }
+    *out = static_cast<int>(Next().integer);
+    return Status::OK();
+  }
 
   bool AcceptKeyword(const std::string& keyword) {
     if (Peek().type == TokenType::kIdentifier && Peek().upper == keyword) {

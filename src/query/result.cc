@@ -4,35 +4,130 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
 namespace pinot {
 
-void AppendRenderedGroupKeyValue(std::string_view rendered, std::string* out) {
+namespace {
+
+// A key value's tag byte is its Value alternative's index.
+template <size_t kTag, typename T>
+constexpr bool kTagIs =
+    std::is_same_v<std::variant_alternative_t<kTag, Value>, T>;
+static_assert(kTagIs<1, int64_t> && kTagIs<2, double> &&
+              kTagIs<3, std::string> && kTagIs<4, std::vector<int64_t>> &&
+              kTagIs<5, std::vector<double>> &&
+              kTagIs<6, std::vector<std::string>>);
+constexpr size_t kStringTag = 3;
+
+void AppendTaggedGroupKeyValue(size_t tag, std::string_view rendered,
+                               std::string* out) {
   const uint32_t size = static_cast<uint32_t>(rendered.size());
-  char prefix[sizeof(size)];
-  std::memcpy(prefix, &size, sizeof(size));
-  out->append(prefix, sizeof(size));
+  char prefix[1 + sizeof(size)];
+  prefix[0] = static_cast<char>(tag);
+  std::memcpy(prefix + 1, &size, sizeof(size));
+  out->append(prefix, sizeof(prefix));
   out->append(rendered.data(), rendered.size());
 }
 
-void AppendGroupKeyValue(const Value& v, std::string* out) {
-  // Doubles render exactly (shortest round-trip), not with ValueToString's
-  // six significant digits, so distinct values stay distinct groups.
-  if (const auto* d = std::get_if<double>(&v)) {
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), *d);
-    AppendRenderedGroupKeyValue(
-        std::string_view(buf, static_cast<size_t>(res.ptr - buf)), out);
-    return;
+template <typename T>
+void AppendNumberGroupKeyValue(size_t tag, T number, std::string* out) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), number);
+  AppendTaggedGroupKeyValue(
+      tag, std::string_view(buf, static_cast<size_t>(res.ptr - buf)), out);
+}
+
+template <typename T>
+T ParseNumber(std::string_view rendered) {
+  T number{};
+  std::from_chars(rendered.data(), rendered.data() + rendered.size(), number);
+  return number;
+}
+
+// Decodes the value at `*pos` of `encoded` and advances past it.
+Value DecodeGroupKeyValue(std::string_view encoded, size_t* pos) {
+  const size_t tag = static_cast<unsigned char>(encoded[*pos]);
+  uint32_t size;
+  std::memcpy(&size, encoded.data() + *pos + 1, sizeof(size));
+  const std::string_view rendered = encoded.substr(*pos + 5, size);
+  *pos += 5 + size;
+  auto entries = [&rendered](auto* out) {
+    for (size_t at = 0; at < rendered.size();) {
+      using Entry = typename std::decay_t<decltype(*out)>::value_type;
+      out->push_back(std::get<Entry>(DecodeGroupKeyValue(rendered, &at)));
+    }
+  };
+  switch (tag) {
+    case 1:
+      return ParseNumber<int64_t>(rendered);
+    case 2:
+      return ParseNumber<double>(rendered);
+    case 3:
+      return std::string(rendered);
+    case 4: {
+      std::vector<int64_t> out;
+      entries(&out);
+      return out;
+    }
+    case 5: {
+      std::vector<double> out;
+      entries(&out);
+      return out;
+    }
+    case 6: {
+      std::vector<std::string> out;
+      entries(&out);
+      return out;
+    }
   }
-  AppendRenderedGroupKeyValue(ValueToString(v), out);
+  return Value{};
+}
+
+}  // namespace
+
+void AppendStringGroupKeyValue(std::string_view value, std::string* out) {
+  AppendTaggedGroupKeyValue(kStringTag, value, out);
+}
+
+void AppendGroupKeyValue(const Value& v, std::string* out) {
+  std::visit(
+      [&](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, std::monostate>) {
+          AppendTaggedGroupKeyValue(v.index(), {}, out);
+        } else if constexpr (std::is_same_v<T, int64_t> ||
+                             std::is_same_v<T, double>) {
+          // Shortest round-trip decimal: distinct doubles stay distinct
+          // groups (ValueToString keeps six significant digits).
+          AppendNumberGroupKeyValue(v.index(), x, out);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          AppendTaggedGroupKeyValue(v.index(), x, out);
+        } else {
+          std::string entries;
+          for (const auto& entry : x) {
+            AppendGroupKeyValue(Value{entry}, &entries);
+          }
+          AppendTaggedGroupKeyValue(v.index(), entries, out);
+        }
+      },
+      v);
 }
 
 std::string EncodeGroupKey(const std::vector<Value>& keys) {
   std::string out;
   for (const auto& key : keys) AppendGroupKeyValue(key, &out);
   return out;
+}
+
+std::vector<Value> DecodeGroupKey(std::string_view encoded) {
+  std::vector<Value> values;
+  for (size_t pos = 0; pos < encoded.size();) {
+    values.push_back(DecodeGroupKeyValue(encoded, &pos));
+  }
+  return values;
 }
 
 // --- GroupTable ------------------------------------------------------------
@@ -63,27 +158,29 @@ uint32_t GroupTable::Find(std::string_view encoded_key) const {
   return FindWithHash(encoded_key, HashKey(encoded_key));
 }
 
-void GroupTable::GrowIndex() {
-  const size_t new_capacity = slots_.empty() ? 1024 : slots_.size() * 2;
-  slots_.assign(new_capacity, kInvalidGroup);
-  const size_t mask = new_capacity - 1;
+void GroupTable::GrowIndex(size_t min_groups) {
+  // Load factor stays under 0.7; keys stay put in the arena and the stored
+  // hashes place them, so growth re-hashes nothing.
+  size_t capacity = slots_.empty() ? 1024 : slots_.size() * 2;
+  while (min_groups * 10 >= capacity * 7) capacity *= 2;
+  slots_.assign(capacity, kInvalidGroup);
+  const size_t mask = capacity - 1;
   for (uint32_t g = 0; g < group_count_; ++g) {
-    size_t pos = HashKey(EncodedKeyAt(g)) & mask;
+    size_t pos = hashes_[g] & mask;
     while (slots_[pos] != kInvalidGroup) pos = (pos + 1) & mask;
     slots_[pos] = g;
   }
 }
 
 uint32_t GroupTable::AppendGroup(std::string_view key, size_t hash) {
-  // Keep the index load factor under 0.7 (growing rehashes ordinal ints
-  // only; keys stay put in the arena).
   if (slots_.empty() || (group_count_ + 1) * 10 >= slots_.size() * 7) {
-    GrowIndex();
+    GrowIndex(group_count_ + 1);
   }
   const uint32_t g = static_cast<uint32_t>(group_count_++);
   arena_.append(key.data(), key.size());
   key_offsets_.push_back(static_cast<uint32_t>(arena_.size()));
   states_.resize(states_.size() + num_aggs_);
+  hashes_.push_back(hash);
   const size_t mask = slots_.size() - 1;
   size_t pos = hash & mask;
   while (slots_[pos] != kInvalidGroup) pos = (pos + 1) & mask;
@@ -91,14 +188,72 @@ uint32_t GroupTable::AppendGroup(std::string_view key, size_t hash) {
   return g;
 }
 
-void GroupTable::AddGroup(std::vector<Value> keys,
+void GroupTable::Reserve(size_t groups) {
+  if (groups * 10 >= slots_.size() * 7) GrowIndex(groups);
+  key_offsets_.reserve(groups + 1);
+  hashes_.reserve(groups);
+  states_.reserve(groups * num_aggs_);
+}
+
+void GroupTable::AddGroup(const std::vector<Value>& keys,
                           std::vector<AggState>&& states) {
-  const std::string encoded = EncodeGroupKey(keys);
-  const uint32_t g = FindOrAdd(encoded, [&](std::vector<Value>* out) {
-    for (auto& key : keys) out->push_back(std::move(key));
-  });
+  const uint32_t g = FindOrAdd(EncodeGroupKey(keys));
   AggState* dst = StatesAt(g);
   for (size_t i = 0; i < num_aggs_; ++i) dst[i].Merge(std::move(states[i]));
+}
+
+bool GroupTable::MergeableWith(const GroupTable& other, Status* status) const {
+  if (empty() || other.empty() ||
+      (num_keys_ == other.num_keys_ && num_aggs_ == other.num_aggs_)) {
+    return true;
+  }
+  // A peer running an older table config can disagree on the group or
+  // aggregate arity; merging would index past the end.
+  if (status->ok()) {
+    *status = Status::FailedPrecondition(
+        "group arity mismatch across partial results (" +
+        std::to_string(num_keys_) + "x" + std::to_string(num_aggs_) + " vs " +
+        std::to_string(other.num_keys_) + "x" +
+        std::to_string(other.num_aggs_) + ")");
+  }
+  return false;
+}
+
+void GroupTable::AppendMovedGroup(GroupTable* other, uint32_t og) {
+  const uint32_t g = AppendGroup(other->EncodedKeyAt(og), other->hashes_[og]);
+  AggState* src = other->StatesAt(og);
+  AggState* dst = StatesAt(g);
+  for (size_t i = 0; i < num_aggs_; ++i) {
+    // Copy, not move: a move would write `src` (and its cache line) even
+    // without a distinct set to take.
+    dst[i].sum = src[i].sum;
+    dst[i].min = src[i].min;
+    dst[i].max = src[i].max;
+    dst[i].count = src[i].count;
+    if (src[i].distinct != nullptr) {
+      dst[i].distinct = std::move(src[i].distinct);
+    }
+  }
+}
+
+void GroupTable::MergeGroupFrom(GroupTable* other, uint32_t og) {
+  const uint32_t g = FindWithHash(other->EncodedKeyAt(og), other->hashes_[og]);
+  if (g == kInvalidGroup) {
+    AppendMovedGroup(other, og);
+    return;
+  }
+  AggState* src = other->StatesAt(og);
+  AggState* dst = StatesAt(g);
+  for (size_t i = 0; i < num_aggs_; ++i) dst[i].Merge(std::move(src[i]));
+}
+
+void GroupTable::MergeShardFrom(GroupTable* other, uint32_t shard,
+                                uint32_t num_shards) {
+  for (uint32_t og = 0; og < other->group_count_; ++og) {
+    if (((other->hashes_[og] >> 32) * num_shards) >> 32 == shard) {
+      MergeGroupFrom(other, og);
+    }
+  }
 }
 
 void GroupTable::MergeFrom(GroupTable&& other, Status* status) {
@@ -107,64 +262,82 @@ void GroupTable::MergeFrom(GroupTable&& other, Status* status) {
     *this = std::move(other);
     return;
   }
-  if (num_keys_ != other.num_keys_ || num_aggs_ != other.num_aggs_) {
-    // A peer running an older table config can disagree on the group or
-    // aggregate arity; merging would index past the end. Keep our side and
-    // flag the result partial.
-    if (status->ok()) {
-      *status = Status::FailedPrecondition(
-          "group arity mismatch across partial results (" +
-          std::to_string(num_keys_) + "x" + std::to_string(num_aggs_) +
-          " vs " + std::to_string(other.num_keys_) + "x" +
-          std::to_string(other.num_aggs_) + ")");
-    }
-    return;
-  }
-  for (uint32_t og = 0; og < other.size(); ++og) {
-    const uint32_t g =
-        FindOrAdd(other.EncodedKeyAt(og), [&](std::vector<Value>* out) {
-          Value* keys = other.MutableKeysAt(og);
-          for (size_t i = 0; i < num_keys_; ++i) {
-            out->push_back(std::move(keys[i]));
-          }
-        });
-    AggState* dst = StatesAt(g);
-    AggState* src = other.StatesAt(og);
-    for (size_t i = 0; i < num_aggs_; ++i) dst[i].Merge(std::move(src[i]));
-  }
+  // On mismatch keep our side; the status flags the result partial.
+  if (!MergeableWith(other, status)) return;
+  for (uint32_t og = 0; og < other.size(); ++og) MergeGroupFrom(&other, og);
 }
 
-std::vector<uint32_t> GroupTable::RankedByFirstAgg(
+GroupTable GroupTable::Concatenate(std::vector<GroupTable>&& parts) {
+  GroupTable out;
+  size_t groups = 0;
+  size_t bytes = 0;
+  for (const GroupTable& part : parts) {
+    if (part.empty()) continue;
+    out.EnsureArity(part.num_keys_, part.num_aggs_);
+    groups += part.group_count_;
+    bytes += part.arena_.size();
+  }
+  out.arena_.reserve(bytes);
+  out.Reserve(groups);
+  for (GroupTable& part : parts) {
+    if (part.empty()) continue;
+    const uint32_t base = static_cast<uint32_t>(out.arena_.size());
+    out.arena_.append(part.arena_);
+    for (size_t g = 1; g <= part.group_count_; ++g) {
+      out.key_offsets_.push_back(base + part.key_offsets_[g]);
+    }
+    std::move(part.states_.begin(), part.states_.end(),
+              std::back_inserter(out.states_));
+    out.hashes_.insert(out.hashes_.end(), part.hashes_.begin(),
+                       part.hashes_.end());
+    out.group_count_ += part.group_count_;
+  }
+  if (out.group_count_ > 0) out.GrowIndex(out.group_count_);
+  return out;
+}
+
+std::vector<GroupTable::SortEntry> GroupTable::SortEntries(
     AggregationType first_type) const {
-  std::vector<uint32_t> order(group_count_);
-  for (uint32_t g = 0; g < group_count_; ++g) order[g] = g;
-  if (num_aggs_ == 0) return order;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const double va = AggSortValue(first_type, *StatesAt(a));
-    const double vb = AggSortValue(first_type, *StatesAt(b));
-    if (va != vb) return va > vb;
-    return EncodedKeyAt(a) < EncodedKeyAt(b);
-  });
+  // One finalize per group, not one per comparison.
+  std::vector<SortEntry> entries(group_count_);
+  for (uint32_t g = 0; g < group_count_; ++g) {
+    entries[g].value =
+        num_aggs_ == 0 ? 0 : AggSortValue(first_type, *StatesAt(g));
+    entries[g].group = g;
+  }
+  return entries;
+}
+
+std::vector<uint32_t> GroupTable::RankedByFirstAgg(AggregationType first_type,
+                                                   size_t limit) const {
+  std::vector<SortEntry> entries = SortEntries(first_type);
+  const size_t n = std::min(limit, entries.size());
+  std::partial_sort(
+      entries.begin(), entries.begin() + n, entries.end(),
+      [this](const SortEntry& a, const SortEntry& b) { return Ranks(a, b); });
+  std::vector<uint32_t> order(n);
+  for (size_t r = 0; r < n; ++r) order[r] = entries[r].group;
   return order;
 }
 
 size_t GroupTable::TrimToTopN(AggregationType first_type, size_t keep) {
   if (group_count_ <= keep) return 0;
-  std::vector<uint32_t> order = RankedByFirstAgg(first_type);
-  order.resize(keep);
+  std::vector<SortEntry> entries = SortEntries(first_type);
+  if (keep > 0) {
+    std::nth_element(
+        entries.begin(), entries.begin() + (keep - 1), entries.end(),
+        [this](const SortEntry& a, const SortEntry& b) { return Ranks(a, b); });
+  }
+  entries.resize(keep);
+  std::sort(entries.begin(), entries.end(),
+            [](const SortEntry& a, const SortEntry& b) {
+              return a.group < b.group;
+            });
   GroupTable trimmed;
   trimmed.EnsureArity(num_keys_, num_aggs_);
-  for (uint32_t g : order) {
-    const uint32_t ng =
-        trimmed.FindOrAdd(EncodedKeyAt(g), [&](std::vector<Value>* out) {
-          Value* keys = MutableKeysAt(g);
-          for (size_t i = 0; i < num_keys_; ++i) {
-            out->push_back(std::move(keys[i]));
-          }
-        });
-    AggState* dst = trimmed.StatesAt(ng);
-    AggState* src = StatesAt(g);
-    for (size_t i = 0; i < num_aggs_; ++i) dst[i] = std::move(src[i]);
+  trimmed.Reserve(keep);
+  for (const SortEntry& entry : entries) {
+    trimmed.AppendMovedGroup(this, entry.group);
   }
   const size_t dropped = group_count_ - trimmed.size();
   *this = std::move(trimmed);
@@ -172,13 +345,8 @@ size_t GroupTable::TrimToTopN(AggregationType first_type, size_t keep) {
 }
 
 size_t GroupTable::ApproxPayloadBytes() const {
-  size_t bytes = arena_.size() + key_offsets_.size() * sizeof(uint32_t) +
-                 states_.size() * sizeof(AggState) +
-                 key_values_.size() * sizeof(Value);
-  for (const auto& v : key_values_) {
-    if (const auto* s = std::get_if<std::string>(&v)) bytes += s->size();
-  }
-  return bytes;
+  return arena_.size() + key_offsets_.size() * sizeof(uint32_t) +
+         states_.size() * sizeof(AggState);
 }
 
 void QueryReceipt::Merge(const QueryReceipt& other) {
@@ -229,6 +397,12 @@ std::string QueryReceipt::ToString(const ExecutionStats& stats) const {
 }
 
 void PartialResult::Merge(PartialResult&& other) {
+  GroupTable other_groups = std::move(other.groups);
+  MergeExceptGroups(std::move(other));
+  groups.MergeFrom(std::move(other_groups), &status);
+}
+
+void PartialResult::MergeExceptGroups(PartialResult&& other) {
   if (!other.status.ok() && status.ok()) status = other.status;
   stats.Merge(other.stats);
   receipt.Merge(other.receipt);
@@ -254,8 +428,6 @@ void PartialResult::Merge(PartialResult&& other) {
     }
   }
 
-  groups.MergeFrom(std::move(other.groups), &status);
-
   for (auto& row : other.selection_rows) {
     selection_rows.push_back(std::move(row));
   }
@@ -267,31 +439,91 @@ void PartialResult::Merge(PartialResult&& other) {
 
 namespace {
 
-// Comparator for selection ORDER BY: compares two rows on the given
-// (column index, descending) list.
-struct RowComparator {
-  const std::vector<std::pair<int, bool>>* order;
+template <typename T>
+int CompareScalars(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
 
-  static int CompareValues(const Value& a, const Value& b) {
-    const auto* sa = std::get_if<std::string>(&a);
-    const auto* sb = std::get_if<std::string>(&b);
-    if (sa != nullptr && sb != nullptr) return sa->compare(*sb);
-    const double da = ValueToDouble(a);
-    const double db = ValueToDouble(b);
-    return da < db ? -1 : (da > db ? 1 : 0);
-  }
+int CompareScalars(const std::string& a, const std::string& b) {
+  return a.compare(b);
+}
 
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    for (const auto& [index, desc] : *order) {
-      const int c = CompareValues(a[index], b[index]);
-      if (c != 0) return desc ? c > 0 : c < 0;
-    }
-    return false;
+template <typename T>
+int CompareEntries(const std::vector<T>& a, const std::vector<T>& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const int c = CompareScalars(a[i], b[i]);
+    if (c != 0) return c;
   }
-};
+  return CompareScalars(a.size(), b.size());
+}
 
 }  // namespace
+
+int CompareSelectionValues(const Value& a, const Value& b) {
+  if (a.index() != b.index()) {
+    const int c = CompareScalars(ValueToDouble(a), ValueToDouble(b));
+    return c != 0 ? c : CompareScalars(a.index(), b.index());
+  }
+  return std::visit(
+      [&b](const auto& x) -> int {
+        using T = std::decay_t<decltype(x)>;
+        const T& y = std::get<T>(b);
+        if constexpr (std::is_same_v<T, std::monostate>) {
+          return 0;
+        } else if constexpr (std::is_same_v<T, std::vector<int64_t>> ||
+                             std::is_same_v<T, std::vector<double>> ||
+                             std::is_same_v<T, std::vector<std::string>>) {
+          return CompareEntries(x, y);
+        } else {
+          return CompareScalars(x, y);
+        }
+      },
+      a);
+}
+
+std::optional<SelectionOrder> SelectionOrder::ForQuery(const Query& query) {
+  if (query.order_by.empty()) return std::nullopt;
+  const std::vector<std::string>& columns = query.selection_columns;
+  SelectionOrder order;
+  std::vector<bool> used(columns.size(), false);
+  for (const auto& [column, desc] : query.order_by) {
+    const size_t index =
+        std::find(columns.begin(), columns.end(), column) - columns.begin();
+    if (index == columns.size()) return std::nullopt;
+    if (used[index]) continue;  // A repeated key decides nothing new.
+    used[index] = true;
+    order.keys_.push_back({index, desc});
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (!used[i]) order.keys_.push_back({i, false});
+  }
+  return order;
+}
+
+bool SelectionOrder::Less(const std::vector<Value>& a,
+                          const std::vector<Value>& b) const {
+  for (const Key& key : keys_) {
+    const int c = CompareSelectionValues(a[key.column], b[key.column]);
+    if (c != 0) return key.desc ? c > 0 : c < 0;
+  }
+  return false;
+}
+
+void KeepSelectionRows(const Query& query,
+                       std::vector<std::vector<Value>>* rows) {
+  const size_t keep =
+      std::min(rows->size(), static_cast<size_t>(query.limit));
+  if (const std::optional<SelectionOrder> order =
+          SelectionOrder::ForQuery(query)) {
+    std::partial_sort(rows->begin(), rows->begin() + keep, rows->end(),
+                      [&order](const std::vector<Value>& a,
+                               const std::vector<Value>& b) {
+                        return order->Less(a, b);
+                      });
+  }
+  rows->resize(keep);
+}
 
 QueryResult ReduceToFinalResult(const Query& query, PartialResult&& partial) {
   QueryResult result;
@@ -340,18 +572,12 @@ QueryResult ReduceToFinalResult(const Query& query, PartialResult&& partial) {
         }
       } else if (!table.empty()) {
         const AggregationType first_type = query.aggregations[0].type;
-        std::vector<uint32_t> order = table.RankedByFirstAgg(first_type);
-        const size_t n =
-            std::min<size_t>(order.size(), static_cast<size_t>(query.top_n));
-        result.group_rows.reserve(n);
-        for (size_t r = 0; r < n; ++r) {
-          const uint32_t g = order[r];
+        const std::vector<uint32_t> order = table.RankedByFirstAgg(
+            first_type, static_cast<size_t>(query.top_n));
+        result.group_rows.reserve(order.size());
+        for (const uint32_t g : order) {
           QueryResult::GroupRow row;
-          Value* keys = table.MutableKeysAt(g);
-          row.keys.reserve(query.group_by.size());
-          for (size_t i = 0; i < query.group_by.size(); ++i) {
-            row.keys.push_back(std::move(keys[i]));
-          }
+          row.keys = table.KeysAt(g);
           for (size_t i = 0; i < query.aggregations.size(); ++i) {
             row.values.push_back(FinalizeAgg(query.aggregations[i].type,
                                              table.StatesAt(g)[i]));
@@ -363,36 +589,21 @@ QueryResult ReduceToFinalResult(const Query& query, PartialResult&& partial) {
   } else {
     result.selection_columns = query.selection_columns;
     auto& rows = partial.selection_rows;
-    if (!query.order_by.empty()) {
-      // Map order-by columns to selection indexes. An unresolvable column
-      // is a query error: trimming unsorted rows to `limit` would silently
-      // return arbitrary rows as if they were the top-k.
-      std::vector<std::pair<int, bool>> order;
-      for (const auto& [column, desc] : query.order_by) {
-        int index = -1;
-        for (size_t i = 0; i < query.selection_columns.size(); ++i) {
-          if (query.selection_columns[i] == column) {
-            index = static_cast<int>(i);
-            break;
-          }
-        }
-        if (index < 0) {
-          result.partial = true;
-          if (!result.error_message.empty()) result.error_message += "; ";
-          result.error_message +=
-              "ORDER BY column not in selection list: " + column;
-          return result;
-        }
-        order.emplace_back(index, desc);
+    for (const auto& [column, desc] : query.order_by) {
+      // An unresolvable ORDER BY column is a query error: trimming
+      // unsorted rows to `limit` would silently return arbitrary rows as
+      // if they were the top-k.
+      const auto& columns = query.selection_columns;
+      if (std::find(columns.begin(), columns.end(), column) ==
+          columns.end()) {
+        result.partial = true;
+        if (!result.error_message.empty()) result.error_message += "; ";
+        result.error_message +=
+            "ORDER BY column not in selection list: " + column;
+        return result;
       }
-      RowComparator cmp{&order};
-      const size_t keep =
-          std::min<size_t>(rows.size(), static_cast<size_t>(query.limit));
-      std::partial_sort(rows.begin(), rows.begin() + keep, rows.end(), cmp);
     }
-    if (rows.size() > static_cast<size_t>(query.limit)) {
-      rows.resize(query.limit);
-    }
+    KeepSelectionRows(query, &rows);
     result.selection_rows = std::move(rows);
   }
   return result;

@@ -40,18 +40,43 @@ struct ExecutionStats {
   }
 };
 
+/// Encodes group-key values into a hashable string key (values from
+/// different segments hash identically, unlike dictionary ids). Each value
+/// is its Value alternative in one tag byte, then a 4-byte length, then its
+/// rendering: string values can contain any byte, so a separator scheme
+/// could not distinguish ("a\x1f", "b") from ("a", "\x1fb"). Integers and
+/// doubles render as their shortest round-trip decimal, so the key is
+/// exact and DecodeGroupKey inverts it; a multi-value renders as its
+/// entries' encodings.
+std::string EncodeGroupKey(const std::vector<Value>& keys);
+
+/// Appends the encoding of one key value to `out` — EncodeGroupKey is the
+/// fold of this over all key values. Exposed so the packed group-by flush
+/// can build encoded keys incrementally in a reused buffer without
+/// materializing a std::vector<Value> per group.
+void AppendGroupKeyValue(const Value& v, std::string* out);
+
+/// Appends the encoding of a string key value without copying it into a
+/// Value (what AppendGroupKeyValue produces for that string).
+void AppendStringGroupKeyValue(std::string_view value, std::string* out);
+
+/// The key values an EncodeGroupKey key holds.
+std::vector<Value> DecodeGroupKey(std::string_view encoded);
+
 /// Flat group-by accumulation table, the mergeable group-by payload of a
 /// PartialResult. Replaces the old `unordered_map<string, GroupEntry>`:
-/// encoded keys live in one byte arena, key values and aggregation states
-/// in flat arrays (`num_keys` / `num_aggs` entries per group), and lookup
-/// goes through a linear-probing index of group ordinals. At million-group
-/// cardinalities this avoids the three-allocations-per-group cost of the
-/// node-based map (key string, GroupEntry node, per-group key vector) that
-/// used to dominate the per-segment flush.
+/// encoded keys live in one byte arena, aggregation states in one flat
+/// array (`num_aggs` entries per group), and lookup goes through a
+/// linear-probing index of group ordinals. At million-group cardinalities
+/// this avoids the three-allocations-per-group cost of the node-based map
+/// (key string, GroupEntry node, per-group key vector) that used to
+/// dominate the per-segment flush.
 ///
-/// Every group holds exactly `num_keys()` key values and `num_aggs()`
-/// states; a table whose arity disagrees with a merge peer (older table
-/// config) is rejected wholesale instead of per-entry.
+/// Keys stay encoded through merges, combines and trims: KeysAt decodes a
+/// group's `num_keys()` values only for the rows the broker returns.
+/// Every group holds exactly `num_aggs()` states; a table whose arity
+/// disagrees with a merge peer (older table config) is rejected wholesale
+/// instead of per-entry.
 class GroupTable {
  public:
   static constexpr uint32_t kInvalidGroup = 0xffffffffu;
@@ -68,33 +93,27 @@ class GroupTable {
   /// Ordinal of the group with this encoded key, or kInvalidGroup.
   uint32_t Find(std::string_view encoded_key) const;
 
-  /// Find-or-insert: returns the ordinal for `encoded_key`, inserting a new
-  /// group with default (zero) states when absent. On insert, `fill_keys`
-  /// must append exactly num_keys() values to the passed vector; it is not
-  /// invoked on hits, so callers can defer value decoding to first touch.
-  template <typename FillKeys>
-  uint32_t FindOrAdd(std::string_view encoded_key, FillKeys&& fill_keys) {
+  /// Find-or-insert: returns the ordinal for `encoded_key` (num_keys()
+  /// values encoded by AppendGroupKeyValue), inserting a new group with
+  /// default (zero) states when absent.
+  uint32_t FindOrAdd(std::string_view encoded_key) {
     const size_t hash = HashKey(encoded_key);
-    uint32_t g = FindWithHash(encoded_key, hash);
-    if (g != kInvalidGroup) return g;
-    g = AppendGroup(encoded_key, hash);
-    fill_keys(&key_values_);
-    return g;
+    const uint32_t g = FindWithHash(encoded_key, hash);
+    return g != kInvalidGroup ? g : AppendGroup(encoded_key, hash);
   }
 
   /// Inserts one externally built group (or merges states into an existing
   /// one). EnsureArity must have been called.
-  void AddGroup(std::vector<Value> keys, std::vector<AggState>&& states);
+  void AddGroup(const std::vector<Value>& keys,
+                std::vector<AggState>&& states);
 
   AggState* StatesAt(uint32_t g) { return &states_[size_t{g} * num_aggs_]; }
   const AggState* StatesAt(uint32_t g) const {
     return &states_[size_t{g} * num_aggs_];
   }
-  const Value* KeysAt(uint32_t g) const {
-    return &key_values_[size_t{g} * num_keys_];
-  }
-  Value* MutableKeysAt(uint32_t g) {
-    return &key_values_[size_t{g} * num_keys_];
+  /// The key values of group `g`, decoded from its encoded key.
+  std::vector<Value> KeysAt(uint32_t g) const {
+    return DecodeGroupKey(EncodedKeyAt(g));
   }
   std::string_view EncodedKeyAt(uint32_t g) const {
     return std::string_view(arena_).substr(key_offsets_[g],
@@ -106,21 +125,44 @@ class GroupTable {
   /// the table is left untouched and `*status` is set (first error wins).
   void MergeFrom(GroupTable&& other, Status* status);
 
-  /// Group ordinals ranked by (AggSortValue of the first state descending,
-  /// encoded key ascending) — the deterministic broker TOP-n order. The
-  /// key tie-break makes server-side trimming and the broker reduce agree
-  /// on equal sort values.
-  std::vector<uint32_t> RankedByFirstAgg(AggregationType first_type) const;
+  /// True when `other` can merge into this table: either side is empty or
+  /// the arities agree. Otherwise sets `*status` (unless already an error)
+  /// to the arity-mismatch error MergeFrom reports.
+  bool MergeableWith(const GroupTable& other, Status* status) const;
+
+  /// Merges in the groups of `other` that fall in hash shard `shard` of
+  /// `num_shards` (by the high bits of the stored hash, independent of the
+  /// index slot), in `other`'s order: a new group takes its key and states,
+  /// an existing one merges the states. Nothing is re-hashed, and `other`
+  /// is only read, except that DISTINCTCOUNT sets move out; so one worker
+  /// per shard can drain the same tables at once without sharing a write.
+  void MergeShardFrom(GroupTable* other, uint32_t shard, uint32_t num_shards);
+
+  /// Sizes the index and the flat arrays for `groups` groups in total.
+  void Reserve(size_t groups);
+
+  /// One table holding every group of `parts`, whose keys must be
+  /// pairwise disjoint (hash shards of one combine), in part order.
+  static GroupTable Concatenate(std::vector<GroupTable>&& parts);
+
+  /// The `limit` highest-ranked group ordinals in order, ranked by
+  /// (AggSortValue of the first state descending, encoded key ascending)
+  /// — the deterministic broker TOP-n order. Encoded keys are unique, so
+  /// the order is strict and the prefix does not depend on how many groups
+  /// are ranked: server-side trimming and the broker reduce agree on equal
+  /// sort values. Partial sort: O(groups · log limit).
+  std::vector<uint32_t> RankedByFirstAgg(AggregationType first_type,
+                                         size_t limit) const;
 
   /// Keeps the `keep` highest-ranked groups (see RankedByFirstAgg) and
   /// drops the rest; returns the number of groups dropped. This is the
   /// server-side ORDER-BY/LIMIT trim: with broker-side over-fetch the
-  /// scatter payload becomes O(keep) instead of O(groups).
+  /// scatter payload becomes O(keep) instead of O(groups). Selection, not
+  /// a sort: O(groups), and the kept groups stay in table order.
   size_t TrimToTopN(AggregationType first_type, size_t keep);
 
-  /// Rough wire size of the table (arena + key values + states), used by
-  /// benches to report payload bytes shipped per server with/without
-  /// trimming. String key values are counted at their heap size.
+  /// Rough wire size of the table (encoded keys + states), used to report
+  /// payload bytes shipped per server with/without trimming.
   size_t ApproxPayloadBytes() const;
 
  private:
@@ -129,7 +171,21 @@ class GroupTable {
   }
   uint32_t FindWithHash(std::string_view key, size_t hash) const;
   uint32_t AppendGroup(std::string_view key, size_t hash);
-  void GrowIndex();
+  // Merges group `og` of `other` in (see MergeShardFrom).
+  void MergeGroupFrom(GroupTable* other, uint32_t og);
+  // Appends group `og` of `other`, whose key must be absent here.
+  void AppendMovedGroup(GroupTable* other, uint32_t og);
+  void GrowIndex(size_t min_groups);
+  // (first-aggregation sort value, ordinal) of every group, for ranking.
+  struct SortEntry {
+    double value;
+    uint32_t group;
+  };
+  std::vector<SortEntry> SortEntries(AggregationType first_type) const;
+  bool Ranks(const SortEntry& a, const SortEntry& b) const {
+    if (a.value != b.value) return a.value > b.value;
+    return EncodedKeyAt(a.group) < EncodedKeyAt(b.group);
+  }
 
   size_t num_keys_ = 0;
   size_t num_aggs_ = 0;
@@ -141,9 +197,12 @@ class GroupTable {
   std::string arena_;
   std::vector<uint32_t> key_offsets_ = {0};
 
-  // Flat per-group payloads: num_keys_ values / num_aggs_ states per group.
-  std::vector<Value> key_values_;
+  // Flat per-group payload: num_aggs_ states per group.
   std::vector<AggState> states_;
+
+  // Per-group hash of the encoded key, computed once on insert and reused
+  // by index growth, merges and shard bucketing.
+  std::vector<size_t> hashes_;
 
   // Linear-probing index: slot -> group ordinal (kInvalidGroup = empty).
   // Rebuilt from the arena on growth; power-of-two capacity.
@@ -207,7 +266,8 @@ struct PartialResult {
   // query's over-fetched top-N before it ships to the broker.
   GroupTable groups;
 
-  // Selection rows (unfinalized; trimmed to limit during reduce).
+  // Selection rows: at most `limit` per segment and per server combine
+  // (see KeepSelectionRows); the broker reduce keeps the final `limit`.
   std::vector<std::vector<Value>> selection_rows;
 
   ExecutionStats stats;
@@ -227,25 +287,52 @@ struct PartialResult {
   std::vector<TraceSpan> spans;
 
   void Merge(PartialResult&& other);
+
+  /// Merge minus the group tables: status (first error wins), stats,
+  /// receipt, aggregates, selection rows and spans. The sharded server
+  /// combine merges the group tables itself.
+  void MergeExceptGroups(PartialResult&& other);
 };
 
-/// Encodes group-key values into a hashable string key (values from
-/// different segments hash identically, unlike dictionary ids). Each value
-/// is length-prefixed: string values can contain any byte, so a separator
-/// scheme cannot distinguish ("a\x1f", "b") from ("a", "\x1fb"). Doubles
-/// render as their shortest round-trip decimal, so the key is exact.
-std::string EncodeGroupKey(const std::vector<Value>& keys);
+/// Compares two selection values: <0, 0 or >0. Strings compare as strings,
+/// integers as integers, and mixed numbers as doubles; multi-values compare
+/// entry by entry, then by length. Values of one column always have one
+/// type, so this is a total order on a column's values.
+int CompareSelectionValues(const Value& a, const Value& b);
 
-/// Appends the length-prefixed encoding of one key value to `out` —
-/// EncodeGroupKey is the fold of this over all key values. Exposed so the
-/// packed group-by flush can build encoded keys incrementally in a reused
-/// buffer without materializing a std::vector<Value> per group.
-void AppendGroupKeyValue(const Value& v, std::string* out);
+/// The total order of selection rows for a query with ORDER BY: the ORDER
+/// BY columns in their directions, then every remaining selected column
+/// ascending, in selection order. Rows that tie under it are equal in
+/// every selected column, so whichever copy a trim keeps, the answer is
+/// byte-identical. The segment top-k heap (on dictionary ids), the server
+/// combine trim, the broker reduce and the test row oracle all rank rows
+/// by this order.
+class SelectionOrder {
+ public:
+  struct Key {
+    size_t column;  // Index into the selection list.
+    bool desc;
+  };
 
-/// Appends the length-prefixed encoding of an already rendered value
-/// (exactly what AppendGroupKeyValue would produce for a non-double value
-/// whose ValueToString equals `rendered`).
-void AppendRenderedGroupKeyValue(std::string_view rendered, std::string* out);
+  /// The order for `query` against its selection list, or nullopt when the
+  /// query has no ORDER BY or an ORDER BY column is not selected.
+  static std::optional<SelectionOrder> ForQuery(const Query& query);
+
+  const std::vector<Key>& keys() const { return keys_; }
+
+  /// True when row `a` ranks strictly before row `b`.
+  bool Less(const std::vector<Value>& a, const std::vector<Value>& b) const;
+
+ private:
+  std::vector<Key> keys_;
+};
+
+/// Keeps the first `query.limit` selection rows: with a resolvable ORDER BY
+/// the top of SelectionOrder, sorted; otherwise the first rows in their
+/// current order. Exact, not an over-fetch: the query's top rows are
+/// always among each part's top rows.
+void KeepSelectionRows(const Query& query,
+                       std::vector<std::vector<Value>>* rows);
 
 /// Final client-facing query response (paper section 3.3.3 step 8; errors
 /// or timeouts mark the result as partial instead of failing it).

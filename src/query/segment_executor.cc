@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <charconv>
 #include <cstring>
 #include <optional>
 #include <unordered_map>
@@ -188,8 +187,8 @@ struct GroupByColumn {
 };
 
 // Decodes a dict-id key back into group values.
-std::vector<Value> DecodeGroupKey(const std::string& key,
-                                  const std::vector<GroupByColumn>& columns) {
+std::vector<Value> DecodeDictIdKey(const std::string& key,
+                                   const std::vector<GroupByColumn>& columns) {
   std::vector<Value> values;
   values.reserve(columns.size());
   for (size_t i = 0; i < columns.size(); ++i) {
@@ -248,16 +247,16 @@ void ForEachGroupKey(const std::vector<GroupByColumn>& columns, uint32_t doc,
 
 // Re-encodes one group (dict-id key already decoded to values) into the
 // value-keyed per-segment output, merging states when the group exists.
-void MergeGroupInto(std::vector<Value> values, std::vector<AggState>&& states,
-                    PartialResult* out) {
+void MergeGroupInto(const std::vector<Value>& values,
+                    std::vector<AggState>&& states, PartialResult* out) {
   out->groups.EnsureArity(values.size(), states.size());
-  out->groups.AddGroup(std::move(values), std::move(states));
+  out->groups.AddGroup(values, std::move(states));
 }
 
 void FlushLocalGroups(const std::vector<GroupByColumn>& columns,
                       LocalGroups&& local, PartialResult* out) {
   for (auto& [key, states] : local) {
-    MergeGroupInto(DecodeGroupKey(key, columns), std::move(states), out);
+    MergeGroupInto(DecodeDictIdKey(key, columns), std::move(states), out);
   }
 }
 
@@ -439,27 +438,19 @@ constexpr size_t kRadixShards = size_t{1} << kRadixShardBits;
 // counting-sort probe ordering is pure overhead; probe in doc order.
 constexpr size_t kRadixSortThreshold = 16384;
 
-// Appends the length-prefixed key fragment AppendGroupKeyValue would
-// produce for dictionary entry `id`, without materializing a string Value.
-// Int64 dictionaries (the high-cardinality case) render via to_chars on the
-// stack; doubles go through AppendGroupKeyValue itself, so both encoders
-// render them identically.
+// Appends the key fragment AppendGroupKeyValue would produce for
+// dictionary entry `id`, without copying a string into a Value.
 void AppendDictIdKeyFragment(const Dictionary& dict, uint32_t id,
                              std::string* key) {
   switch (dict.storage()) {
-    case Dictionary::Storage::kInt64: {
-      char buf[24];
-      const auto res = std::to_chars(buf, buf + sizeof(buf),
-                                     dict.Int64At(static_cast<int>(id)));
-      AppendRenderedGroupKeyValue(
-          std::string_view(buf, static_cast<size_t>(res.ptr - buf)), key);
+    case Dictionary::Storage::kInt64:
+      AppendGroupKeyValue(Value{dict.Int64At(static_cast<int>(id))}, key);
       return;
-    }
     case Dictionary::Storage::kDouble:
       AppendGroupKeyValue(Value{dict.DoubleAt(static_cast<int>(id))}, key);
       return;
     case Dictionary::Storage::kString:
-      AppendRenderedGroupKeyValue(dict.StringAt(static_cast<int>(id)), key);
+      AppendStringGroupKeyValue(dict.StringAt(static_cast<int>(id)), key);
       return;
   }
 }
@@ -640,6 +631,7 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
   // which dominated million-group queries).
   GroupTable& table = out->groups;
   table.EnsureArity(group_columns.size(), num_aggs);
+  table.Reserve(table.size() + group_keys.size());
   std::string key_scratch;
   for (size_t g = 0; g < group_keys.size(); ++g) {
     const uint64_t key = group_keys[g];
@@ -659,17 +651,7 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
                                 &key_scratch);
       }
     }
-    const uint32_t slot =
-        table.FindOrAdd(key_scratch, [&](std::vector<Value>* values) {
-          for (size_t i = 0; i < group_columns.size(); ++i) {
-            const GroupByColumn& gb = group_columns[i];
-            values->push_back(gb.column == nullptr
-                                  ? gb.default_value
-                                  : gb.column->dictionary().ValueAt(
-                                        static_cast<int>(id_of(i))));
-          }
-        });
-    AggState* dst = table.StatesAt(slot);
+    AggState* dst = table.StatesAt(table.FindOrAdd(key_scratch));
     for (size_t i = 0; i < num_aggs; ++i) {
       dst[i].Merge(std::move(group_states[g * num_aggs + i]));
     }
@@ -964,6 +946,135 @@ bool StarTreeExpansionFits(const SegmentInterface& segment,
 
 // --- Raw path: selection ---------------------------------------------------
 
+// Compares entries `a` and `b` of `dict` the way CompareSelectionValues
+// orders their values: by id where the dictionary is sorted (id order is
+// value order), by value in a consuming segment's arrival-order one.
+int CompareDictEntries(const Dictionary& dict, uint32_t a, uint32_t b) {
+  if (dict.sorted()) return a < b ? -1 : (b < a ? 1 : 0);
+  const int ia = static_cast<int>(a);
+  const int ib = static_cast<int>(b);
+  switch (dict.storage()) {
+    case Dictionary::Storage::kInt64: {
+      const int64_t x = dict.Int64At(ia);
+      const int64_t y = dict.Int64At(ib);
+      return x < y ? -1 : (y < x ? 1 : 0);
+    }
+    case Dictionary::Storage::kDouble: {
+      const double x = dict.DoubleAt(ia);
+      const double y = dict.DoubleAt(ib);
+      return x < y ? -1 : (y < x ? 1 : 0);
+    }
+    case Dictionary::Storage::kString:
+      return dict.StringAt(ia).compare(dict.StringAt(ib));
+  }
+  return 0;
+}
+
+// One SelectionOrder key bound to a segment column.
+struct SelectionKey {
+  const ColumnReader* column;
+  bool desc;
+};
+
+// A segment's selection top-k under SelectionOrder: a bounded max-heap of
+// doc ids whose top is the worst row kept, compared on dictionary entries,
+// so only the survivors are ever decoded. The first key's entry is cached
+// per candidate (decoded per block by the caller); ties read the next keys
+// from the forward index. Columns the segment lacks hold one default
+// value and decide nothing within it, so they are not keys here.
+class SelectionTopK {
+ public:
+  SelectionTopK(std::vector<SelectionKey> keys, size_t k)
+      : keys_(std::move(keys)),
+        first_single_value_(!keys_.empty() &&
+                            keys_[0].column->spec().single_value),
+        k_(k) {
+    heap_.reserve(k);
+  }
+
+  // The column whose dict ids Offer expects as `first_id`, or null.
+  const ColumnReader* first_column() const {
+    return first_single_value_ ? keys_[0].column : nullptr;
+  }
+
+  void Offer(uint32_t doc, uint32_t first_id) {
+    const Candidate candidate{doc, first_id};
+    auto before = [this](const Candidate& a, const Candidate& b) {
+      return Before(a, b);
+    };
+    if (heap_.size() < k_) {
+      heap_.push_back(candidate);
+      std::push_heap(heap_.begin(), heap_.end(), before);
+    } else if (k_ > 0 && Before(candidate, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), before);
+      heap_.back() = candidate;
+      std::push_heap(heap_.begin(), heap_.end(), before);
+    }
+  }
+
+  // The kept docs, best first.
+  std::vector<uint32_t> SortedDocs() {
+    std::sort_heap(heap_.begin(), heap_.end(),
+                   [this](const Candidate& a, const Candidate& b) {
+                     return Before(a, b);
+                   });
+    std::vector<uint32_t> docs;
+    docs.reserve(heap_.size());
+    for (const Candidate& c : heap_) docs.push_back(c.doc);
+    return docs;
+  }
+
+ private:
+  struct Candidate {
+    uint32_t doc;
+    uint32_t first_id;  // Valid when the first key is single-value.
+  };
+
+  bool Before(const Candidate& a, const Candidate& b) {
+    size_t k = 0;
+    if (first_single_value_) {
+      const int c = CompareDictEntries(keys_[0].column->dictionary(),
+                                       a.first_id, b.first_id);
+      if (c != 0) return keys_[0].desc ? c > 0 : c < 0;
+      k = 1;
+    }
+    for (; k < keys_.size(); ++k) {
+      const int c = CompareOn(*keys_[k].column, a.doc, b.doc);
+      if (c != 0) return keys_[k].desc ? c > 0 : c < 0;
+    }
+    return false;
+  }
+
+  // Single values by entry; multi-values entry by entry, then by length.
+  int CompareOn(const ColumnReader& column, uint32_t a, uint32_t b) {
+    const Dictionary& dict = column.dictionary();
+    if (column.spec().single_value) {
+      return CompareDictEntries(dict, column.GetDictId(a),
+                                column.GetDictId(b));
+    }
+    column.GetDictIds(a, &scratch_a_);
+    column.GetDictIds(b, &scratch_b_);
+    const size_t n = std::min(scratch_a_.size(), scratch_b_.size());
+    for (size_t i = 0; i < n; ++i) {
+      const int c = CompareDictEntries(dict, scratch_a_[i], scratch_b_[i]);
+      if (c != 0) return c;
+    }
+    return scratch_a_.size() < scratch_b_.size()
+               ? -1
+               : (scratch_b_.size() < scratch_a_.size() ? 1 : 0);
+  }
+
+  std::vector<SelectionKey> keys_;
+  bool first_single_value_;
+  size_t k_;
+  std::vector<Candidate> heap_;
+  std::vector<uint32_t> scratch_a_;
+  std::vector<uint32_t> scratch_b_;
+};
+
+// Selection: without ORDER BY the first LIMIT matching docs; with it the
+// segment's top LIMIT rows under SelectionOrder. Either way at most
+// min(LIMIT, matched) rows are decoded.
 Status ExecuteSelection(const SegmentInterface& segment, const Query& query,
                         const DocIdSet& docs, PartialResult* out) {
   const Schema& schema = segment.schema();
@@ -992,28 +1103,63 @@ Status ExecuteSelection(const SegmentInterface& segment, const Query& query,
     projected.push_back(std::move(p));
   }
 
-  const bool need_all = !query.order_by.empty();
-  const size_t limit = static_cast<size_t>(query.limit);
   std::vector<uint32_t> scratch;
-  bool done = false;
+  auto emit = [&](uint32_t doc) {
+    std::vector<Value> row;
+    row.reserve(projected.size());
+    for (const auto& p : projected) {
+      if (p.column == nullptr) {
+        row.push_back(p.default_value);
+      } else {
+        row.push_back(ReadDocValue(*p.column, doc, &scratch));
+      }
+    }
+    out->selection_rows.push_back(std::move(row));
+  };
+
+  const size_t k = static_cast<size_t>(std::min<uint64_t>(
+      static_cast<uint64_t>(query.limit), docs.Cardinality()));
   uint64_t scanned = 0;
-  docs.ForEachRange([&](uint32_t begin, uint32_t end) {
-    if (done) return;
-    for (uint32_t doc = begin; doc < end && !done; ++doc) {
-      ++scanned;
-      std::vector<Value> row;
-      row.reserve(projected.size());
-      for (const auto& p : projected) {
-        if (p.column == nullptr) {
-          row.push_back(p.default_value);
+  // An ORDER BY that names an unselected column is the broker's error to
+  // report; until then the segment keeps the first rows.
+  const std::optional<SelectionOrder> order = SelectionOrder::ForQuery(query);
+  if (!order.has_value()) {
+    size_t emitted = 0;
+    docs.ForEachRange([&](uint32_t begin, uint32_t end) {
+      for (uint32_t doc = begin; doc < end && emitted < k; ++doc, ++emitted) {
+        ++scanned;
+        emit(doc);
+      }
+    });
+    out->stats.docs_scanned += scanned;
+    return Status::OK();
+  }
+
+  std::vector<SelectionKey> keys;
+  for (const SelectionOrder::Key& key : order->keys()) {
+    const ColumnReader* column = projected[key.column].column;
+    if (column != nullptr) keys.push_back({column, key.desc});
+  }
+  SelectionTopK top(std::move(keys), k);
+  if (k > 0) {
+    const ColumnReader* first = top.first_column();
+    std::vector<uint32_t> first_ids(kDocIdBlockSize, 0);
+    docs.ForEachBlock([&](const DocIdBlock& block) {
+      scanned += block.count;
+      if (first != nullptr) {
+        if (block.contiguous()) {
+          first->GetDictIdRange(block.begin, block.count, first_ids.data());
         } else {
-          row.push_back(ReadDocValue(*p.column, doc, &scratch));
+          first->GetDictIdBatch(block.docs, block.count, first_ids.data());
         }
       }
-      out->selection_rows.push_back(std::move(row));
-      if (!need_all && out->selection_rows.size() >= limit) done = true;
-    }
-  });
+      for (uint32_t j = 0; j < block.count; ++j) {
+        top.Offer(block.contiguous() ? block.begin + j : block.docs[j],
+                  first_ids[j]);
+      }
+    });
+  }
+  for (uint32_t doc : top.SortedDocs()) emit(doc);
   out->stats.docs_scanned += scanned;
   return Status::OK();
 }

@@ -1,6 +1,6 @@
 #include "query/table_executor.h"
 
-#include <mutex>
+#include <algorithm>
 
 #include "query/segment_executor.h"
 
@@ -98,18 +98,66 @@ void AnnotateSegmentSpan(const ExecutionStats& stats, TraceSpan* span) {
   }
 }
 
+// Keeps the `keep` top-ranked groups; no-op for non-group-by queries.
+size_t TrimGroupsTo(const Query& query, size_t keep, GroupTable* groups) {
+  if (query.group_by.empty() || query.aggregations.empty()) return 0;
+  if (groups->size() <= keep) return 0;
+  return groups->TrimToTopN(query.aggregations[0].type, keep);
+}
+
+// Merges the segments' group tables hash shard by hash shard: shard p of
+// every table merges on one worker in segment order and is trimmed to
+// `keep`, and only the survivors are concatenated. Each group still merges
+// in segment-index order, so the result equals the fold's bit for bit.
+GroupTable ShardedGroupCombine(std::vector<GroupTable>* tables,
+                               const Query& query, size_t keep,
+                               ThreadPool* pool, size_t* dropped) {
+  const uint32_t num_shards = static_cast<uint32_t>(pool->num_threads());
+  size_t largest = 0;
+  for (const GroupTable& table : *tables) {
+    largest = std::max(largest, table.size());
+  }
+  std::vector<GroupTable> shards(num_shards);
+  std::vector<size_t> shard_dropped(num_shards, 0);
+  pool->ParallelFor(static_cast<int>(num_shards), [&](int p) {
+    GroupTable& shard = shards[p];
+    shard.EnsureArity(tables->front().num_keys(), tables->front().num_aggs());
+    // At least its share of the largest table, plus room for the groups
+    // the other segments add.
+    shard.Reserve(largest / num_shards + largest / (4 * num_shards));
+    for (GroupTable& table : *tables) {
+      shard.MergeShardFrom(&table, static_cast<uint32_t>(p), num_shards);
+    }
+    shard_dropped[p] = TrimGroupsTo(query, keep, &shard);
+  });
+  for (size_t d : shard_dropped) *dropped += d;
+  return GroupTable::Concatenate(std::move(shards));
+}
+
+// The combine's last step: the final group trim (sharded survivors can
+// number up to shards × keep), the selection LIMIT, and the receipt's
+// pre-trim group count and dropped groups.
+void FinishCombine(const Query& query, size_t keep, size_t groups,
+                   size_t dropped, PartialResult* merged) {
+  dropped += TrimGroupsTo(query, keep, &merged->groups);
+  if (!query.IsAggregation()) {
+    KeepSelectionRows(query, &merged->selection_rows);
+  }
+  merged->receipt.groups += groups;
+  merged->receipt.trimmed += dropped;
+}
+
 }  // namespace
 
 size_t TrimGroupPartial(const Query& query, size_t keep,
                         PartialResult* partial) {
-  if (query.group_by.empty() || query.aggregations.empty()) return 0;
-  if (partial->groups.size() <= keep) return 0;
-  return partial->groups.TrimToTopN(query.aggregations[0].type, keep);
+  return TrimGroupsTo(query, keep, &partial->groups);
 }
 
 PartialResult ExecuteQueryOnSegments(
     const std::vector<std::shared_ptr<SegmentInterface>>& segments,
-    const Query& query, ThreadPool* pool, TraceSpan* parent) {
+    const Query& query, ThreadPool* pool, TraceSpan* parent,
+    size_t group_keep) {
   PartialResult merged;
 
   const int64_t prune_mark = TraceSpan::NowMicros();
@@ -168,6 +216,8 @@ PartialResult ExecuteQueryOnSegments(
       }
       merged.Merge(std::move(partial));
     }
+    const size_t groups = merged.groups.size();
+    FinishCombine(query, group_keep, groups, 0, &merged);
     return merged;
   }
 
@@ -191,25 +241,38 @@ PartialResult ExecuteQueryOnSegments(
     if (parent != nullptr) parent->AddChild(std::move(spans[i]));
   }
 
-  // Tree-wise combine: pairwise rounds across the pool, partials[2k] <-
-  // partials[2k+1], compacting survivors in order. Merging in index order
-  // at every round keeps error precedence (lowest segment's error wins) and
-  // span concatenation order identical to the old sequential fold, and the
-  // fixed pairing topology keeps float accumulation deterministic run to
-  // run.
-  size_t live = partials.size();
-  while (live > 1) {
-    const int pairs = static_cast<int>(live / 2);
-    pool->ParallelFor(pairs, [&](int k) {
-      partials[2 * k].Merge(std::move(partials[2 * k + 1]));
-    });
-    size_t write = 0;
-    for (size_t read = 0; read < live; read += 2, ++write) {
-      if (write != read) partials[write] = std::move(partials[read]);
-    }
-    live = write;
+  // Combine. Small group tables fold on this thread in segment order: a
+  // pool round-trip costs more than merging a few thousand groups. Large
+  // ones merge hash shard by hash shard across the pool.
+  size_t total_groups = 0;
+  for (const PartialResult& partial : partials) {
+    total_groups += partial.groups.size();
   }
-  if (live == 1) merged.Merge(std::move(partials[0]));
+  if (total_groups < kShardedCombineMinGroups || pool->num_threads() < 2) {
+    for (PartialResult& partial : partials) merged.Merge(std::move(partial));
+    const size_t groups = merged.groups.size();
+    FinishCombine(query, group_keep, groups, 0, &merged);
+    return merged;
+  }
+  // Everything but the groups folds in segment order (the lowest segment's
+  // error wins, spans keep their order); tables whose arity disagrees with
+  // the first are dropped with the same error the fold reports.
+  std::vector<GroupTable> tables;
+  for (PartialResult& partial : partials) {
+    GroupTable table = std::move(partial.groups);
+    merged.MergeExceptGroups(std::move(partial));
+    if (table.empty()) continue;
+    if (!tables.empty() &&
+        !tables.front().MergeableWith(table, &merged.status)) {
+      continue;
+    }
+    tables.push_back(std::move(table));
+  }
+  size_t dropped = 0;
+  merged.groups =
+      ShardedGroupCombine(&tables, query, group_keep, pool, &dropped);
+  FinishCombine(query, group_keep, merged.groups.size() + dropped, dropped,
+                &merged);
   return merged;
 }
 

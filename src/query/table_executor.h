@@ -1,6 +1,8 @@
 #ifndef PINOT_QUERY_TABLE_EXECUTOR_H_
 #define PINOT_QUERY_TABLE_EXECUTOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -12,6 +14,14 @@
 #include "trace/trace.h"
 
 namespace pinot {
+
+/// `group_keep` that keeps every group (no server-side trim).
+inline constexpr size_t kKeepAllGroups = SIZE_MAX;
+
+/// Total groups across a combine's segment partials below which the
+/// partials fold on the calling thread: a pool round-trip costs more than
+/// merging a few thousand groups.
+inline constexpr size_t kShardedCombineMinGroups = 8192;
 
 /// Executes `query` over a set of segments, combining the per-segment
 /// partial results (the server-side combine of paper section 3.3.3 step 6;
@@ -29,15 +39,24 @@ namespace pinot {
 /// attaches them, so no locking is needed. A query with `explain` set runs
 /// per-segment planning only — plan spans are produced but no data is read
 /// and no rows are returned.
-/// When `pool` is non-null the per-segment partials are also *merged*
-/// tree-wise across the pool (pairwise rounds, log2(segments) deep) instead
-/// of one sequential fold — at million-group cardinalities the combine is
-/// as expensive as the scans, and the pairwise topology is deterministic so
-/// results are reproducible run to run.
+///
+/// The combine keeps only what the query can return: selection rows are
+/// cut to the query's LIMIT (each segment already keeps at most that many),
+/// and the group table to the `group_keep` top-ranked groups (the server's
+/// over-fetched keep; the default keeps every group). Below
+/// kShardedCombineMinGroups groups in total the partials fold on the
+/// calling thread in segment order. Above it, with a pool of two or more
+/// threads, groups are partitioned by encoded-key hash into one shard per
+/// pool thread; shard p of every segment merges on one worker in segment
+/// order and is trimmed to `group_keep`, and the survivors are
+/// concatenated (and trimmed once more to `group_keep`).
+/// Every group merges in segment-index order on every path, so pooled and
+/// serial runs return bit-identical results. The receipt records the
+/// pre-trim group count and the groups dropped.
 PartialResult ExecuteQueryOnSegments(
     const std::vector<std::shared_ptr<SegmentInterface>>& segments,
     const Query& query, ThreadPool* pool = nullptr,
-    TraceSpan* parent = nullptr);
+    TraceSpan* parent = nullptr, size_t group_keep = kKeepAllGroups);
 
 /// Server-side ORDER-BY/LIMIT trim (production Pinot's scatter-payload
 /// bound): keeps the `keep` groups that rank highest in the broker's final

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "query/parser.h"
 #include "query/result.h"
 #include "query/segment_executor.h"
@@ -159,6 +161,32 @@ TEST(EncodeGroupKeyTest, DoublesEncodeExactly) {
   EXPECT_NE(b, c);
   EXPECT_NE(a, c);
   EXPECT_EQ(a, EncodeGroupKey({Value{1.0000001}}));
+}
+
+// Keys stay encoded until the broker returns them, so decoding must give
+// back exactly the values (and Value alternatives) that were encoded.
+TEST(EncodeGroupKeyTest, DecodeInvertsEncode) {
+  const std::vector<Value> keys = {
+      Value{},
+      Value{int64_t{-9007199254740993}},
+      Value{0.1 + 0.2},
+      Value{-0.0},
+      Value{1e300},
+      Value{std::string("a\x1f\0b", 4)},
+      Value{std::string()},
+      Value{std::vector<int64_t>{3, -4}},
+      Value{std::vector<double>{2.5}},
+      Value{std::vector<std::string>{"x", "", "yz"}},
+      Value{std::vector<std::string>{}},
+  };
+  const std::vector<Value> decoded = DecodeGroupKey(EncodeGroupKey(keys));
+  ASSERT_EQ(decoded.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(decoded[i].index(), keys[i].index()) << i;
+    EXPECT_EQ(decoded[i], keys[i]) << i;
+  }
+  EXPECT_TRUE(std::signbit(std::get<double>(decoded[3])));
+  EXPECT_TRUE(DecodeGroupKey("").empty());
 }
 
 TEST(EncodeGroupKeyTest, PackedAndStringKeyPathsEncodeDoublesAlike) {

@@ -426,6 +426,29 @@ TEST_P(BrokerOracleFuzzTest, AnswersMatchRowOracle) {
   }
   EXPECT_GT(faulted_queries, 0);
   EXPECT_GT(partials_, 0) << "no fault cost a segment every replica";
+
+  // Tie-heavy selections: ORDER BY a five-value column with a LIMIT inside
+  // its first run of ties, so which tied rows survive the segment heaps,
+  // the server trims and the broker merge is decided by the rest of the
+  // total order alone (some select so few columns that whole rows repeat).
+  for (const std::string pql : {
+           "SELECT d_small, d_int, d_multi, m_long FROM off ORDER BY "
+           "d_small DESC LIMIT 100",
+           "SELECT d_small, d_int FROM off ORDER BY d_small LIMIT 300",
+           "SELECT d_multi, d_small, d_str FROM off WHERE d_int < 50 ORDER "
+           "BY d_small, d_multi DESC LIMIT 40",
+           "SELECT d_small, d_str, m_double FROM hyb ORDER BY d_small DESC "
+           "LIMIT 60",
+           "SELECT d_int, d_small FROM hyb WHERE t >= 520 ORDER BY d_small "
+           "LIMIT 25",
+           "SELECT d_small, m_long, d_int FROM ups ORDER BY d_small DESC "
+           "LIMIT 7",
+           "SELECT d_small, d_multi FROM ups ORDER BY d_small LIMIT 12",
+       }) {
+    const std::string table = pql.substr(pql.find(" FROM ") + 6, 3);
+    RunAndCheck(table, pql, /*faulted=*/false);
+    if (HasFailure()) return;
+  }
   // Both realtime tables served sealed and consuming segments side by side.
   for (const std::string physical : {"hyb_REALTIME", "ups_REALTIME"}) {
     std::set<SegmentState> states;

@@ -2,7 +2,7 @@
 //
 //   1. The dense, radix-partitioned and string-key group tables give the
 //      row oracle's answer, from 10 to ~64k member ids, bit for bit on one
-//      segment, and through the tree-wise multi-segment combine (two
+//      segment, and through the pooled multi-segment combine (two
 //      pooled runs bit-identical to each other, and the oracle's answer up
 //      to double-sum rounding).
 //   2. Server-side ORDER-BY/LIMIT trimming with the production over-fetch

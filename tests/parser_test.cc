@@ -190,6 +190,30 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParsePql("SELECT count(*) FROM t LIMIT 'x'").ok());
 }
 
+// TOP and LIMIT counts outside [0, 2^31 - 1] are errors: a negative count
+// used to return every row or group, and an overflowing one was truncated
+// to its low 32 bits.
+TEST(ParserTest, RejectsOutOfRangeTopAndLimit) {
+  for (const char* pql : {
+           "SELECT m FROM t ORDER BY m DESC LIMIT -5",
+           "SELECT m FROM t LIMIT 4294967298",
+           "SELECT count(*) FROM t GROUP BY d TOP -1",
+           "SELECT count(*) FROM t GROUP BY d TOP 4294967297",
+           "SELECT m FROM t LIMIT 2147483648",
+           "SELECT m FROM t LIMIT 99999999999999999999999",
+       }) {
+    auto q = ParsePql(pql);
+    ASSERT_FALSE(q.ok()) << pql;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << pql;
+  }
+  auto zero = ParsePql("SELECT count(*) FROM t GROUP BY d TOP 0");
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->top_n, 0);
+  auto max = ParsePql("SELECT m FROM t LIMIT 2147483647");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->limit, 2147483647);
+}
+
 TEST(ParserTest, CaseInsensitiveKeywords) {
   auto q = ParsePql("select COUNT(*) from t where a = 1 GROUP by a top 3");
   ASSERT_TRUE(q.ok()) << q.status().ToString();

@@ -16,9 +16,11 @@
 //     cross product across columns); an empty list is a null key.
 //   - TOP n ranks groups by (first aggregation descending, encoded key
 //     ascending).
-//   - Selection: every returned row is a distinct matching row. With
-//     ORDER BY, the returned ORDER BY keys equal the first k keys of the
-//     sorted matching rows.
+//   - Selection: without ORDER BY, every returned row is a distinct
+//     matching row. With ORDER BY, the rows are exactly the first k of the
+//     matching rows sorted by SelectionOrder (the ORDER BY keys, then every
+//     other selected column ascending): a total order on distinct rows, so
+//     ties at the cut are not free.
 
 #include <algorithm>
 #include <cmath>
@@ -26,6 +28,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -346,17 +349,6 @@ class RowOracle {
     return "";
   }
 
-  // Selection ORDER BY semantics: strings compare as strings, everything
-  // else as doubles.
-  static int CompareOrderValues(const Value& a, const Value& b) {
-    const auto* sa = std::get_if<std::string>(&a);
-    const auto* sb = std::get_if<std::string>(&b);
-    if (sa != nullptr && sb != nullptr) return sa->compare(*sb);
-    const double da = ValueToDouble(a);
-    const double db = ValueToDouble(b);
-    return da < db ? -1 : (da > db ? 1 : 0);
-  }
-
   std::string CheckSelection(const QueryResult& actual) const {
     const size_t want =
         std::min(selected_.size(), static_cast<size_t>(query_.limit));
@@ -364,6 +356,25 @@ class RowOracle {
       return "expected " + std::to_string(want) + " rows (of " +
              std::to_string(selected_.size()) + " matching), got " +
              std::to_string(actual.selection_rows.size());
+    }
+    if (!query_.order_by.empty()) {
+      const std::optional<SelectionOrder> order =
+          SelectionOrder::ForQuery(query_);
+      if (!order.has_value()) return "ORDER BY column not selected";
+      std::vector<std::vector<Value>> expected = selected_;
+      std::sort(expected.begin(), expected.end(),
+                [&order](const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+                  return order->Less(a, b);
+                });
+      for (size_t r = 0; r < want; ++r) {
+        if (actual.selection_rows[r] != expected[r]) {
+          return "row " + std::to_string(r) + " " +
+                 RenderExact(actual.selection_rows[r]) + ", expected " +
+                 RenderExact(expected[r]);
+        }
+      }
+      return "";
     }
     std::map<std::vector<Value>, int> unused;
     for (const auto& row : selected_) ++unused[row];
@@ -375,43 +386,6 @@ class RowOracle {
                " is not a distinct matching row";
       }
       --it->second;
-    }
-    if (query_.order_by.empty()) return "";
-
-    std::vector<std::pair<size_t, bool>> order;
-    for (const auto& [column, desc] : query_.order_by) {
-      const auto& columns = query_.selection_columns;
-      const size_t index =
-          std::find(columns.begin(), columns.end(), column) - columns.begin();
-      if (index == columns.size()) {
-        return "ORDER BY column not selected: " + column;
-      }
-      order.emplace_back(index, desc);
-    }
-    auto order_key = [&](const std::vector<Value>& row) {
-      std::vector<Value> key;
-      for (const auto& [index, desc] : order) key.push_back(row[index]);
-      return key;
-    };
-    std::vector<std::vector<Value>> expected;
-    expected.reserve(selected_.size());
-    for (const auto& row : selected_) expected.push_back(order_key(row));
-    std::sort(expected.begin(), expected.end(),
-              [&](const std::vector<Value>& a, const std::vector<Value>& b) {
-                for (size_t k = 0; k < order.size(); ++k) {
-                  const int c = CompareOrderValues(a[k], b[k]);
-                  if (c != 0) return order[k].second ? c > 0 : c < 0;
-                }
-                return false;
-              });
-    for (size_t r = 0; r < want; ++r) {
-      const std::vector<Value> key = order_key(actual.selection_rows[r]);
-      for (size_t k = 0; k < order.size(); ++k) {
-        if (CompareOrderValues(key[k], expected[r][k]) != 0) {
-          return "row " + std::to_string(r) + " ORDER BY key " +
-                 RenderExact(key) + ", expected " + RenderExact(expected[r]);
-        }
-      }
     }
     return "";
   }
